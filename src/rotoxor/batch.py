@@ -11,11 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cipher
-
-_ROT_R = np.array(cipher._ROTR, dtype=np.uint8)
-_ROT_L = np.array(cipher._ROTL, dtype=np.uint8)
-
 
 def encrypt_blocks(states, session_keys) -> np.ndarray:
     """Encrypt N blocks; ``session_keys`` is one key (64,) or one per block (N, 64)."""
@@ -23,7 +18,7 @@ def encrypt_blocks(states, session_keys) -> np.ndarray:
     k = _as_grid(session_keys)
     for m in range(1, 9):
         rk = np.roll(k, m - 1, axis=2)
-        x = _ROT_R[rk, x]
+        x = (x >> rk) | (x << ((8 - rk) & 7))
         x = _mix(x, 1)
     return x.reshape(-1, 64)
 
@@ -35,7 +30,7 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
     for m in range(8, 0, -1):
         rk = np.roll(k, m - 1, axis=2)
         x = _mix(_mix(x, 1), 2)
-        x = _ROT_L[rk, x]
+        x = (x << rk) | (x >> ((8 - rk) & 7))
     return x.reshape(-1, 64)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 from . import batch
 from .cipher import BLOCK_SIZE
 from .errors import BlockSizeError, DecodeError, PaddingError
-from .keys import session_key_chain
+from .keys import ZERO_KEY, session_key_chain
 
 SENTINEL = b"###"
 
@@ -23,10 +23,8 @@ SENTINEL = b"###"
 # the rightmost '#' run of the padded data.
 _FILLER_ALPHABET = bytes(b for b in range(0x20, 0x7F) if b != 0x23)
 
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
-_BASE64_ALPHABET = frozenset(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-)
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 ENCODINGS = ("raw", "hex", "base64")
 
@@ -70,30 +68,55 @@ def unpad_message(padded: bytes) -> bytes:
 
 
 def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]:
-    """Pad, split into blocks, and encrypt block n under its chained session key."""
+    """Pad, split into blocks, and encrypt block n under its chained session key.
+
+    Only the blocks before the first all-zero session key (at most 16) go
+    through the rounds. The chain map is I+S per key row over Z8 and
+    (I+S)^16 = 0 mod 8, so every key from block 17 on is all-zero; under
+    the zero key each round is I+N over GF(2), and (I+N)^8 = I + N^8 = I
+    because N^4 = 0. Those later blocks are copied unchanged, exactly as
+    the full transform would leave them.
+    """
     padded = pad_message(message, filler_source)
-    count = len(padded) // BLOCK_SIZE
-    session_keys = b"".join(islice(session_key_chain(master), count))
-    states = batch.blocks_to_array([padded])
-    out = batch.encrypt_blocks(states, batch.blocks_to_array([session_keys]))
-    return batch.array_to_blocks(out)
+    live = _live_session_keys(master, len(padded) // BLOCK_SIZE)
+    head = len(live) * BLOCK_SIZE
+    out = batch.encrypt_blocks(padded[:head], b"".join(live)).tobytes()
+    return _split_blocks(out + padded[head:])
 
 
 def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
-    """Decrypt each block under its chained session key, concatenate, unpad."""
-    blocks = [bytes(b) for b in stream]
+    """Decrypt each block under its chained session key, concatenate, unpad.
+
+    As in encrypt_message, only the blocks before the first all-zero
+    session key go through the inverse rounds: from block 17 on the key is
+    zero, since (I+S)^16 = 0 mod 8, and the zero-key transform is the
+    identity, since (I+N)^8 = I over GF(2). Later blocks pass unchanged.
+    """
+    blocks = list(stream)
     if not blocks:
         raise BlockSizeError("ciphertext stream is empty")
-    for idx, block in enumerate(blocks):
-        if len(block) != BLOCK_SIZE:
-            raise BlockSizeError(
-                f"block {idx} has {len(block)} octets, expected {BLOCK_SIZE}"
-            )
-    session_keys = b"".join(islice(session_key_chain(master), len(blocks)))
-    out = batch.decrypt_blocks(
-        batch.blocks_to_array(blocks), batch.blocks_to_array([session_keys])
-    )
-    return unpad_message(b"".join(batch.array_to_blocks(out)))
+    if set(map(len, blocks)) != {BLOCK_SIZE}:
+        idx, size = next((i, n) for i, n in enumerate(map(len, blocks)) if n != BLOCK_SIZE)
+        raise BlockSizeError(f"block {idx} has {size} octets, expected {BLOCK_SIZE}")
+    data = b"".join(blocks)
+    live = _live_session_keys(master, len(blocks))
+    head = len(live) * BLOCK_SIZE
+    out = batch.decrypt_blocks(data[:head], b"".join(live)).tobytes()
+    return unpad_message(out + data[head:])
+
+
+def _live_session_keys(master: bytes, count: int) -> list[bytes]:
+    # Session keys of the first ``count`` blocks, up to the first zero key.
+    live = []
+    for key in islice(session_key_chain(master), count):
+        if key == ZERO_KEY:
+            break
+        live.append(key)
+    return live
+
+
+def _split_blocks(data: bytes) -> list[bytes]:
+    return [data[i:i + BLOCK_SIZE] for i in range(0, len(data), BLOCK_SIZE)]
 
 
 def encode_stream(stream: Sequence[bytes], encoding: str = "raw") -> bytes:
@@ -127,13 +150,13 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
         raise BlockSizeError(
             f"decoded length {len(decoded)} is not a multiple of {BLOCK_SIZE}"
         )
-    return [decoded[i:i + BLOCK_SIZE] for i in range(0, len(decoded), BLOCK_SIZE)]
+    return _split_blocks(decoded)
 
 
 def _decode_hex(data: bytes) -> bytes:
-    for pos, b in enumerate(data):
-        if b not in _HEX_DIGITS:
-            raise DecodeError("invalid hex digit", pos)
+    pos = _first_outside(data, _HEX_DIGITS)
+    if pos is not None:
+        raise DecodeError("invalid hex digit", pos)
     if len(data) % 2:
         raise DecodeError("odd-length hex input", len(data))
     return bytes.fromhex(data.decode("ascii"))
@@ -145,9 +168,19 @@ def _decode_base64(data: bytes) -> bytes:
         end -= 1
     if len(data) - end > 2:
         raise DecodeError("more than two base64 padding characters", end + 2)
-    for pos in range(end):
-        if data[pos] not in _BASE64_ALPHABET:
-            raise DecodeError("invalid base64 character", pos)
+    pos = _first_outside(data, _BASE64_ALPHABET)
+    if pos is not None and pos < end:  # from end on there is only '=' padding
+        raise DecodeError("invalid base64 character", pos)
     if len(data) % 4:
         raise DecodeError("base64 length is not a multiple of 4", len(data))
     return base64.b64decode(data, validate=True)
+
+
+def _first_outside(data: bytes, alphabet: bytes) -> int | None:
+    """Position of the first octet of ``data`` not in ``alphabet``, or None."""
+    rest = data.translate(None, alphabet)
+    if not rest:
+        return None
+    # rest keeps the invalid octets in order, so rest[0] is the octet at the
+    # first invalid position, and it occurs nowhere earlier in data.
+    return data.index(rest[:1])

@@ -9,6 +9,8 @@ by rotating the session key's columns.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Iterator
 
 from .errors import DigitError, LengthError
@@ -16,6 +18,16 @@ from .errors import DigitError, LengthError
 KEY_DIGITS = 64
 DIGIT_BASE = 8
 ROUNDS = 8
+
+# The chain's fixed point: every master key reaches it by block 17, since
+# (I+S)^16 = 0 mod 8, and under it the block transform is the identity.
+ZERO_KEY = bytes(KEY_DIGITS)
+
+# The row-rotated copy of a key: each digit's right neighbour, wrapping
+# within its row of 8.
+_RIGHT_NEIGHBOURS = itemgetter(*(r + (c + 1) % 8 for r in range(0, KEY_DIGITS, 8)
+                                 for c in range(8)))
+_MOD_BASE = bytes(i % DIGIT_BASE for i in range(256))
 
 
 def parse_master_key(text: str) -> bytes:
@@ -67,12 +79,7 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
 def next_session_key(prev: bytes) -> bytes:
     """Chain step: each digit becomes (itself + right neighbour in its row) mod 8."""
     _check_key(prev)
-    out = bytearray(KEY_DIGITS)
-    for i in range(0, 64, 8):
-        row = prev[i:i + 8]
-        for j in range(8):
-            out[i + j] = (row[j] + row[(j + 1) % 8]) % DIGIT_BASE
-    return bytes(out)
+    return bytes(map(add, prev, _RIGHT_NEIGHBOURS(prev))).translate(_MOD_BASE)
 
 
 def session_key_for_block(master: bytes, n: int) -> bytes:
@@ -81,17 +88,23 @@ def session_key_for_block(master: bytes, n: int) -> bytes:
         raise ValueError(f"block index must be >= 1, got {n}")
     key = bytes(master)
     for _ in range(n - 1):
+        if key == ZERO_KEY:
+            break
         key = next_session_key(key)
     return key
 
 
 def session_key_chain(master: bytes) -> Iterator[bytes]:
-    """Yield the session keys of blocks 1, 2, 3, ... incrementally."""
+    """Yield the session keys of blocks 1, 2, 3, ... incrementally.
+
+    The chain is stepped only until it reaches ZERO_KEY, its fixed point.
+    """
     key = bytes(master)
     _check_key(key)
-    while True:
+    while key != ZERO_KEY:
         yield key
         key = next_session_key(key)
+    yield from repeat(key)
 
 
 def is_weak_key(key: bytes) -> bool:

@@ -1,10 +1,13 @@
 """Sentinel padding, message encryption orchestration, and serialization."""
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotoxor import codec, keys
+from rotoxor import batch, codec, keys
 from rotoxor.codec import (
     decode_stream,
     decrypt_message,
@@ -185,8 +188,71 @@ def test_decrypt_message_block_size_errors():
         decrypt_message([], key)
     with pytest.raises(BlockSizeError):
         decrypt_message([bytes(63)], key)
-    with pytest.raises(BlockSizeError):
+    with pytest.raises(BlockSizeError, match="block 1 has 65 octets, expected 64"):
         decrypt_message([bytes(64), bytes(65)], key)
+    with pytest.raises(BlockSizeError, match="block 2 has 0 octets"):
+        decrypt_message([bytes(64), bytes(64), b"", bytes(7)], key)
+
+
+# --- fast path against the full key chain ------------------------------------
+
+def _reference_encrypt(message, master, filler_source):
+    # Every block through the rounds under every key of the chain.
+    padded = pad_message(message, filler_source)
+    count = len(padded) // 64
+    session_keys = b"".join(islice(keys.session_key_chain(master), count))
+    return batch.array_to_blocks(batch.encrypt_blocks(padded, session_keys))
+
+
+def _reference_decrypt(stream, master):
+    session_keys = b"".join(islice(keys.session_key_chain(master), len(stream)))
+    return unpad_message(batch.decrypt_blocks(b"".join(stream), session_keys).tobytes())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PaddingError:
+        return PaddingError
+
+
+def test_message_paths_match_full_chain_reference():
+    rng = random.Random(71)
+    masters = [random_key(rng) for _ in range(3)]
+    masters += [bytes([d]) * 64 for d in (1, 4, 6)] + [bytes(64)]
+    lengths = (0, 61, 64, 1021, 1024, 16 * 64 - 3, 16 * 64, 17 * 64, 64 * 1024 + 1)
+    for master in masters:
+        other = random_key(rng)
+        for length in lengths:
+            msg = rng.randbytes(length)
+            seed = rng.random()
+            stream = encrypt_message(msg, master, random.Random(seed))
+            assert stream == _reference_encrypt(msg, master, random.Random(seed))
+            assert decrypt_message(stream, master) == _reference_decrypt(stream, master)
+            assert _outcome(decrypt_message, stream, other) == _outcome(
+                _reference_decrypt, stream, other)
+
+
+def test_message_round_trip_sends_at_most_16_blocks(monkeypatch):
+    sent = {"encrypt": [], "decrypt": []}
+
+    def counting(op):
+        fn = getattr(codec.batch, f"{op}_blocks")
+
+        def wrapper(states, session_keys):
+            out = fn(states, session_keys)
+            sent[op].append(len(out))
+            return out
+        return wrapper
+
+    for op in sent:
+        monkeypatch.setattr(codec.batch, f"{op}_blocks", counting(op))
+    rng = random.Random(72)
+    msg, key = rng.randbytes(1 << 20), random_key(rng)
+    assert decrypt_message(encrypt_message(msg, key, rng), key) == msg
+    live = sum(k != keys.ZERO_KEY for k in islice(keys.session_key_chain(key), 17))
+    for op, calls in sent.items():
+        assert sum(calls) == live <= 16, (op, calls)
 
 
 # --- serialization -----------------------------------------------------------
@@ -229,6 +295,71 @@ def test_decode_base64_errors_carry_position():
         decode_stream(b"AAA", "base64")  # length not a multiple of 4
     with pytest.raises(DecodeError):
         decode_stream(b"A===", "base64")  # too much padding
+
+
+_HEX = b"0123456789abcdefABCDEF"
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _reference_error_position(data, encoding):
+    # Slow scan: where decode_stream must report a DecodeError, or None.
+    if encoding == "hex":
+        for pos, b in enumerate(data):
+            if b not in _HEX:
+                return pos
+        return len(data) if len(data) % 2 else None
+    if encoding == "base64":
+        end = len(data.rstrip(b"="))
+        if len(data) - end > 2:
+            return end + 2
+        for pos in range(end):
+            if data[pos] not in _B64:
+                return pos
+        return len(data) if len(data) % 4 else None
+    return None
+
+
+def _splice(args):
+    data, edits = args
+    for pos, octets in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + octets + data[pos:]
+    return data
+
+
+def _spliced(base):
+    # Mostly well-formed input with a few arbitrary octets spliced in.
+    edits = st.lists(st.tuples(st.integers(0, 400), st.binary(max_size=2)), max_size=3)
+    return st.tuples(base, edits).map(_splice)
+
+
+def _text(alphabet):
+    return st.lists(st.sampled_from(alphabet), max_size=300).map(bytes)
+
+
+def _encoded(encoding):
+    blocks = st.lists(st.binary(min_size=64, max_size=64), max_size=3)
+    return blocks.map(lambda b: encode_stream(b, encoding))
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoding=st.sampled_from(codec.ENCODINGS),
+       data=st.one_of(st.binary(max_size=300),
+                      *(_spliced(base) for base in (_text(_HEX), _text(_B64 + b"="),
+                                                     _encoded("hex"), _encoded("base64")))))
+def test_decode_stream_fails_only_with_codec_errors(encoding, data):
+    expected = _reference_error_position(data, encoding)
+    try:
+        blocks = decode_stream(data, encoding)
+    except DecodeError as err:
+        assert err.position == expected
+        return
+    except BlockSizeError:
+        assert expected is None
+        return
+    assert expected is None
+    assert all(len(b) == 64 for b in blocks)
+    assert decode_stream(encode_stream(blocks, encoding), encoding) == blocks
 
 
 def test_decode_block_size_check():

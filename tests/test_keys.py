@@ -122,8 +122,31 @@ def test_session_key_for_block():
         keys.session_key_for_block(k, 0)
 
 
+def test_chain_step_matches_digit_loop():
+    def reference_step(prev):
+        return bytes((prev[i + j] + prev[i + (j + 1) % 8]) % 8
+                     for i in range(0, 64, 8) for j in range(8))
+
+    rng = random.Random(26)
+    for k in [random_key(rng) for _ in range(50)] + [ROW_01234567, bytes([7]) * 64]:
+        assert keys.next_session_key(k) == reference_step(k)
+
+
 def test_zero_key_is_chain_fixed_point():
     assert keys.session_key_for_block(bytes(64), 17) == bytes(64)
+
+
+def test_chain_stops_stepping_at_zero_key(monkeypatch):
+    # A uniform 4 key doubles to all-zero in one step; zero is a fixed
+    # point, so neither the chain nor the block lookup steps past it.
+    steps = []
+    step = keys.next_session_key
+    monkeypatch.setattr(keys, "next_session_key", lambda k: steps.append(k) or step(k))
+    chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
+    assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
+    assert len(steps) == 1
+    assert keys.session_key_for_block(bytes([4]) * 64, 20) == keys.ZERO_KEY
+    assert len(steps) == 2
 
 
 def test_chain_collapses_to_zero_by_step_16():

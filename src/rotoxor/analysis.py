@@ -13,28 +13,19 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import batch, gf2
 from .cipher import encrypt_block
 from .errors import SingularMapError
-from .keys import session_key_chain
+from .keys import _check_key, session_key_chain
 
 STATE_BITS = 512
 
-EncryptFn = Callable[[bytes, bytes], bytes]
-
-
-def hamming_distance(a: bytes, b: bytes) -> int:
-    """Number of differing bits between two equal-length byte strings."""
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()
-
-
-def flip_bit(state: bytes, position: int) -> bytes:
-    """Copy of ``state`` with one bit flipped (position 0..511, LSB-first per octet)."""
-    out = bytearray(state)
-    out[position >> 3] ^= 1 << (position & 7)
-    return bytes(out)
+BatchEncryptFn = Callable[[np.ndarray, bytes], np.ndarray]
 
 
 class LinearMap512:
@@ -112,41 +103,36 @@ def linearity_check(
     session_key: bytes,
     trials: int,
     seed: int,
-    encrypt_fn: EncryptFn | None = None,
+    encrypt_fn: BatchEncryptFn | None = None,
 ) -> tuple[bool, tuple[bytes, bytes] | None]:
     """Test E(x^y) = E(x)^E(y) and E(0) = 0 on random pairs.
 
     Returns (True, None) when every trial holds, else (False, (x, y)) with
     the first failing pair. ``encrypt_fn`` substitutes a different block
-    transform (used to show that a corrupted cipher fails the check); the
-    default cipher runs on the vectorized path.
+    transform (used to show that a corrupted cipher fails the check). It has
+    batch.encrypt_blocks' contract: given an (N, 64) uint8 array of states
+    and ``session_key``, it returns the (N, 64) array of their images, row
+    for row. By default batch.encrypt_blocks itself runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_key(bytes(session_key))
+    encrypt = encrypt_fn if encrypt_fn is not None else batch.encrypt_blocks
     rng = random.Random(seed)
     zero = bytes(64)
-    probe = encrypt_fn if encrypt_fn is not None else encrypt_block
-    if probe(zero, session_key) != zero:
+    if encrypt(batch.blocks_to_array([zero]), session_key).any():
         return False, (zero, zero)
     xs = [rng.randbytes(64) for _ in range(trials)]
     ys = [rng.randbytes(64) for _ in range(trials)]
-    if encrypt_fn is None:
-        ax = batch.blocks_to_array(xs)
-        ay = batch.blocks_to_array(ys)
-        ex = batch.encrypt_blocks(ax, session_key)
-        ey = batch.encrypt_blocks(ay, session_key)
-        exy = batch.encrypt_blocks(ax ^ ay, session_key)
-        bad = (exy != (ex ^ ey)).any(axis=1).nonzero()[0]
-        if bad.size:
-            t = int(bad[0])
-            return False, (xs[t], ys[t])
-        return True, None
-    for x, y in zip(xs, ys):
-        combined = bytes(a ^ b for a, b in zip(x, y))
-        if encrypt_fn(combined, session_key) != bytes(
-            a ^ b for a, b in zip(encrypt_fn(x, session_key), encrypt_fn(y, session_key))
-        ):
-            return False, (x, y)
+    ax = batch.blocks_to_array(xs)
+    ay = batch.blocks_to_array(ys)
+    ex = encrypt(ax, session_key)
+    ey = encrypt(ay, session_key)
+    exy = encrypt(ax ^ ay, session_key)
+    bad = (exy != (ex ^ ey)).any(axis=1).nonzero()[0]
+    if bad.size:
+        t = int(bad[0])
+        return False, (xs[t], ys[t])
     return True, None
 
 
@@ -173,47 +159,41 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
     matrix column p whatever the base state, so the sampled distribution is
     exactly the column-weight distribution under random position choice.
     """
-    distances = []
+    _check_key(bytes(session_key))
+    states, positions = [], []
     for sub in _trial_seeds(seed, trials):
         rng = random.Random(sub)
-        state = rng.randbytes(64)
-        position = rng.randrange(STATE_BITS)
-        distances.append(
-            hamming_distance(
-                encrypt_block(state, session_key),
-                encrypt_block(flip_bit(state, position), session_key),
-            )
-        )
+        states.append(rng.randbytes(64))
+        positions.append(rng.randrange(STATE_BITS))
+    base = batch.blocks_to_array(states)
+    distances = _output_distances(
+        base, session_key, _flip_bits(base, positions), session_key)
     return _avalanche_report(distances, seed, "plaintext-sample")
 
 
 def avalanche_plaintext_sweep(session_key: bytes, seed: int = 0) -> AvalancheReport:
     """Measure every one of the 512 flip positions exactly once."""
-    base = random.Random(seed).randbytes(64)
-    encrypted = encrypt_block(base, session_key)
-    distances = [
-        hamming_distance(encrypted, encrypt_block(flip_bit(base, p), session_key))
-        for p in range(STATE_BITS)
-    ]
+    _check_key(bytes(session_key))
+    base = batch.blocks_to_array([random.Random(seed).randbytes(64)])
+    flipped = _flip_bits(np.repeat(base, STATE_BITS, axis=0), range(STATE_BITS))
+    distances = _output_distances(base, session_key, flipped, session_key)
     return _avalanche_report(distances, seed, "plaintext-sweep")
 
 
 def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
     """Sample key sensitivity: change one key digit to a different value per trial."""
-    distances = []
+    _check_key(bytes(master))
+    states, mutated = [], []
     for sub in _trial_seeds(seed, trials):
         rng = random.Random(sub)
-        state = rng.randbytes(64)
+        states.append(rng.randbytes(64))
         position = rng.randrange(64)
         replacement = rng.choice([d for d in range(8) if d != master[position]])
-        mutated = bytearray(master)
-        mutated[position] = replacement
-        distances.append(
-            hamming_distance(
-                encrypt_block(state, master),
-                encrypt_block(state, bytes(mutated)),
-            )
-        )
+        key = bytearray(master)
+        key[position] = replacement
+        mutated.append(bytes(key))
+    base = batch.blocks_to_array(states)
+    distances = _output_distances(base, master, base, batch.blocks_to_array(mutated))
     return _avalanche_report(distances, seed, "key-sample")
 
 
@@ -251,8 +231,11 @@ def repeated_block_report(
     """
     if block_count < 2:
         raise ValueError("block_count must be >= 2")
-    chain = session_key_chain(master)
-    ciphertexts = [encrypt_block(content, next(chain)) for _ in range(block_count)]
+    if len(content) != 64:
+        raise ValueError(f"content must be exactly 64 octets, got {len(content)}")
+    session_keys = b"".join(islice(session_key_chain(master), block_count))
+    encrypted = batch.encrypt_blocks(bytes(content) * block_count, session_keys)
+    ciphertexts = [row.tobytes() for row in encrypted]
     collisions = tuple(
         (a + 1, b + 1)
         for a in range(block_count)
@@ -365,6 +348,21 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
         raise ValueError("trials must be >= 1")
     master = random.Random(seed)
     return [master.getrandbits(64) for _ in range(trials)]
+
+
+def _flip_bits(states: np.ndarray, positions) -> np.ndarray:
+    # Copy of the (N, 64) states with bit positions[i] of row i flipped;
+    # state bit p is bit p & 7 (LSB first) of octet p >> 3.
+    pos = np.fromiter(positions, dtype=np.intp)
+    out = states.copy()
+    out[np.arange(len(pos)), pos >> 3] ^= (1 << (pos & 7)).astype(np.uint8)
+    return out
+
+
+def _output_distances(states_a, keys_a, states_b, keys_b) -> list[int]:
+    # Per block, the output bits that differ between the two encryptions.
+    diff = batch.encrypt_blocks(states_a, keys_a) ^ batch.encrypt_blocks(states_b, keys_b)
+    return np.unpackbits(diff, axis=1).sum(axis=1).tolist()
 
 
 def _avalanche_report(distances: list[int], seed: int, mode: str) -> AvalancheReport:

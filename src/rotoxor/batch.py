@@ -1,4 +1,4 @@
-"""Vectorized block pipeline used on whole-message and bulk-trial paths.
+"""Vectorized block pipeline used by the message codec and the analysis reports.
 
 Round-for-round the same transform as cipher.encrypt_block/decrypt_block,
 applied to N blocks at once with numpy. The test suite pins the two
@@ -36,11 +36,6 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
 
 def blocks_to_array(blocks: Sequence[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 64)
-
-
-def array_to_blocks(arr: np.ndarray) -> list[bytes]:
-    data = np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
-    return [data[i:i + 64] for i in range(0, len(data), 64)]
 
 
 def _as_grid(x) -> np.ndarray:

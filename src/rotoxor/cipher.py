@@ -9,10 +9,10 @@ transform is GF(2)-linear; the analysis module exploits that deliberately.
 
 from __future__ import annotations
 
-from .keys import derive_round_key
+from . import keys
+from .keys import ROUNDS, derive_round_key
 
 BLOCK_SIZE = 64
-ROUNDS = 8
 
 # _ROTR[r][b] / _ROTL[r][b]: octet b rotated right / left by r bit positions.
 _ROTR = [[((b >> r) | (b << (8 - r))) & 0xFF for b in range(256)] for r in range(8)]
@@ -128,8 +128,5 @@ def _check_state(state: bytes) -> bytes:
 
 def _check_key(key: bytes) -> bytes:
     k = bytes(key)
-    if len(k) != BLOCK_SIZE:
-        raise ValueError(f"key must have exactly {BLOCK_SIZE} digits, got {len(k)}")
-    if max(k) > 7:
-        raise ValueError("key digits must lie in 0..7")
+    keys._check_key(k)
     return k

@@ -8,10 +8,6 @@ from __future__ import annotations
 from .errors import SingularMapError
 
 
-def identity(n: int) -> list[int]:
-    return [1 << i for i in range(n)]
-
-
 def transpose(rows: list[int], n: int) -> list[int]:
     out = [0] * n
     for i, row in enumerate(rows):
@@ -33,45 +29,9 @@ def mat_vec(rows: list[int], x: int) -> int:
     return out
 
 
-def mat_mul(a: list[int], b: list[int]) -> list[int]:
-    """Matrix product: row i of the result XORs the rows of b selected by a[i]."""
-    out = []
-    for row in a:
-        acc = 0
-        k = 0
-        while row:
-            if row & 1:
-                acc ^= b[k]
-            row >>= 1
-            k += 1
-        out.append(acc)
-    return out
-
-
 def rank(rows: list[int], n: int) -> int:
     """Rank via Gaussian elimination; the input is not modified."""
-    work = list(rows)
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def is_nonsingular(rows: list[int], n: int) -> bool:
-    return len(rows) == n and rank(rows, n) == n
+    return len(_eliminate(list(rows), n))
 
 
 def invert(rows: list[int], n: int) -> list[int]:
@@ -79,40 +39,29 @@ def invert(rows: list[int], n: int) -> list[int]:
     if len(rows) != n:
         raise SingularMapError(f"matrix must be {n}x{n}")
     work = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMapError(f"matrix is singular (no pivot in column {col})")
-        work[col], work[pivot] = work[pivot], work[col]
-        for i in range(n):
-            if i != col and ((work[i] >> col) & 1):
-                work[i] ^= work[col]
+    pivots = _eliminate(work, n)
+    if len(pivots) < n:
+        col = min(set(range(n)).difference(pivots))
+        raise SingularMapError(f"matrix is singular (no pivot in column {col})")
     return [row >> n for row in work]
 
 
-def solve(rows: list[int], rhs: int, n: int) -> int:
-    """Solve A x = rhs for x; raises SingularMapError if A is singular."""
-    work = list(rows)
-    b = [(rhs >> i) & 1 for i in range(n)]
+def _eliminate(work: list[int], n: int) -> list[int]:
+    # Gauss-Jordan elimination in place on bit columns 0..n-1: afterwards
+    # work[r] is the only row with a bit in pivots[r], and those rows come
+    # first, in column order. Bits at n and above ride along, which is how
+    # invert carries the identity half of [A | I].
+    pivots = []
     for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
+        r = len(pivots)
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
         if pivot is None:
-            raise SingularMapError(f"matrix is singular (no pivot in column {col})")
-        work[col], work[pivot] = work[pivot], work[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for i in range(n):
-            if i != col and ((work[i] >> col) & 1):
-                work[i] ^= work[col]
-                b[i] ^= b[col]
-    x = 0
-    for i in range(n):
-        x |= b[i] << i
-    return x
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> col) & 1):
+                work[i] ^= work[r]
+        pivots.append(col)
+    return pivots

@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from rotoxor import analysis, gf2
+from rotoxor import analysis
 from rotoxor.analysis import (
     LinearMap512,
     avalanche_key,
     avalanche_plaintext,
     avalanche_plaintext_sweep,
     bench_throughput,
-    flip_bit,
-    hamming_distance,
     kpa_decrypt,
     keyspace_report,
     linearity_check,
@@ -22,6 +20,7 @@ from rotoxor.analysis import (
 from rotoxor.cipher import decrypt_block, encrypt_block, xor_layer_encrypt
 from rotoxor.errors import SingularMapError
 from rotoxor.keys import derive_round_key
+from support import batched, flip_bit, hamming_distance, identity, mat_mul
 
 
 def random_key(rng):
@@ -95,13 +94,13 @@ def test_recover_zero_key_oracle_matches_matrix_power():
     # diffusion layer's own recovered matrix.
     lm = recover_linear_map(lambda b: encrypt_block(b, bytes(64)))
     xl = recover_linear_map(xor_layer_encrypt)
-    power = gf2.identity(512)
+    power = identity(512)
     rows = xl.rows()
     for _ in range(8):
-        power = gf2.mat_mul(rows, power)
+        power = mat_mul(rows, power)
     assert lm.rows() == power
     # and that 8th power is the identity (the diffusion layer has order 4)
-    assert power == gf2.identity(512)
+    assert power == identity(512)
 
 
 def test_recover_and_apply_matches_cipher():
@@ -148,7 +147,7 @@ def test_linearity_holds_for_cipher():
 def test_linearity_scalar_path_agrees():
     rng = random.Random(84)
     key = random_key(rng)
-    ok, _ = linearity_check(key, 50, 7, encrypt_fn=encrypt_block)
+    ok, _ = linearity_check(key, 50, 7, encrypt_fn=batched(encrypt_block))
     assert ok
 
 
@@ -156,7 +155,7 @@ def test_linearity_rejects_broken_cipher():
     rng = random.Random(85)
     key = random_key(rng)
     assert any(d != 0 for d in key)
-    ok, counterexample = linearity_check(key, 200, 9, encrypt_fn=broken_encrypt)
+    ok, counterexample = linearity_check(key, 200, 9, encrypt_fn=batched(broken_encrypt))
     assert not ok
     # addition moves the zero state, so the E(0)=0 probe already fails
     assert counterexample == (bytes(64), bytes(64))
@@ -165,7 +164,7 @@ def test_linearity_rejects_broken_cipher():
 def test_linearity_rejects_zero_fixing_nonlinear_cipher():
     rng = random.Random(86)
     key = random_key(rng)
-    ok, counterexample = linearity_check(key, 200, 11, encrypt_fn=scaled_encrypt)
+    ok, counterexample = linearity_check(key, 200, 11, encrypt_fn=batched(scaled_encrypt))
     assert not ok
     x, y = counterexample
     assert (x, y) != (bytes(64), bytes(64))
@@ -262,6 +261,25 @@ def test_repeated_block_collides_past_chain_collapse():
 def test_repeated_block_validation():
     with pytest.raises(ValueError):
         repeated_block_report(bytes(64), bytes(64), 1)
+
+
+@pytest.mark.parametrize("report", [
+    lambda key: avalanche_plaintext(key, 5, 1),
+    lambda key: avalanche_plaintext_sweep(key),
+    lambda key: avalanche_key(key, 5, 1),
+    lambda key: linearity_check(key, 5, 1),
+    lambda key: repeated_block_report(key, bytes(64), 3),
+])
+def test_reports_reject_malformed_keys(report):
+    with pytest.raises(ValueError, match="key digits must lie in 0..7"):
+        report(bytes([8]) * 64)
+    with pytest.raises(ValueError, match="exactly 64 digits"):
+        report(bytes(63))
+
+
+def test_repeated_block_rejects_short_content():
+    with pytest.raises(ValueError, match="64 octets"):
+        repeated_block_report(bytes(64), bytes(63), 3)
 
 
 def test_repeated_block_report_lines():

@@ -6,6 +6,7 @@ import numpy as np
 
 from rotoxor import batch
 from rotoxor.cipher import decrypt_block, encrypt_block
+from support import array_to_blocks
 
 
 def test_encrypt_blocks_matches_scalar_per_block_keys():
@@ -15,7 +16,7 @@ def test_encrypt_blocks_matches_scalar_per_block_keys():
     out = batch.encrypt_blocks(
         batch.blocks_to_array(states), batch.blocks_to_array(ks)
     )
-    assert batch.array_to_blocks(out) == [
+    assert array_to_blocks(out) == [
         encrypt_block(s, k) for s, k in zip(states, ks)
     ]
 
@@ -25,7 +26,7 @@ def test_encrypt_blocks_broadcasts_single_key():
     states = [rng.randbytes(64) for _ in range(40)]
     key = bytes(rng.choices(range(8), k=64))
     out = batch.encrypt_blocks(batch.blocks_to_array(states), key)
-    assert batch.array_to_blocks(out) == [encrypt_block(s, key) for s in states]
+    assert array_to_blocks(out) == [encrypt_block(s, key) for s in states]
 
 
 def test_decrypt_blocks_matches_scalar():
@@ -35,7 +36,7 @@ def test_decrypt_blocks_matches_scalar():
     out = batch.decrypt_blocks(
         batch.blocks_to_array(states), batch.blocks_to_array(ks)
     )
-    assert batch.array_to_blocks(out) == [
+    assert array_to_blocks(out) == [
         decrypt_block(s, k) for s, k in zip(states, ks)
     ]
 
@@ -53,7 +54,7 @@ def test_blocks_array_round_trip():
     blocks = [rng.randbytes(64) for _ in range(7)]
     arr = batch.blocks_to_array(blocks)
     assert arr.shape == (7, 64)
-    assert batch.array_to_blocks(arr) == blocks
+    assert array_to_blocks(arr) == blocks
 
 
 def test_accepts_raw_bytes_inputs():
@@ -61,4 +62,4 @@ def test_accepts_raw_bytes_inputs():
     state = rng.randbytes(64)
     key = bytes(rng.choices(range(8), k=64))
     out = batch.encrypt_blocks(state, key)
-    assert batch.array_to_blocks(out) == [encrypt_block(state, key)]
+    assert array_to_blocks(out) == [encrypt_block(state, key)]

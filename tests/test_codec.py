@@ -17,6 +17,7 @@ from rotoxor.codec import (
     unpad_message,
 )
 from rotoxor.errors import BlockSizeError, DecodeError, PaddingError
+from support import array_to_blocks
 
 
 def random_key(rng):
@@ -201,7 +202,7 @@ def _reference_encrypt(message, master, filler_source):
     padded = pad_message(message, filler_source)
     count = len(padded) // 64
     session_keys = b"".join(islice(keys.session_key_chain(master), count))
-    return batch.array_to_blocks(batch.encrypt_blocks(padded, session_keys))
+    return array_to_blocks(batch.encrypt_blocks(padded, session_keys))
 
 
 def _reference_decrypt(stream, master):

@@ -45,23 +45,8 @@ class LinearMap512:
         self.columns = cols
         self._inverse_rows: list[int] | None = None
 
-    def apply(self, block: bytes) -> bytes:
-        """Matrix-vector product: XOR of the columns selected by the input bits."""
-        x = int.from_bytes(block, "little")
-        acc = 0
-        c = 0
-        while x:
-            if x & 1:
-                acc ^= self.columns[c]
-            x >>= 1
-            c += 1
-        return acc.to_bytes(64, "little")
-
     def rows(self) -> list[int]:
         return gf2.transpose(list(self.columns), STATE_BITS)
-
-    def is_nonsingular(self) -> bool:
-        return gf2.rank(list(self.columns), STATE_BITS) == STATE_BITS
 
     def inverse_rows(self) -> list[int]:
         if self._inverse_rows is None:
@@ -80,16 +65,20 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
 
     The oracle must be the block transform under one fixed session key. Each
     single-bit basis state is queried once; its ciphertext is one matrix
-    column. Raises SingularMapError if the result is not invertible, which
-    for this construction signals a broken implementation.
+    column. The inverse is computed here, once, and cached for kpa_decrypt.
+    Raises SingularMapError if the result is not invertible, which for this
+    construction signals a broken implementation.
     """
     columns = []
     for c in range(STATE_BITS):
         basis = (1 << c).to_bytes(64, "little")
         columns.append(int.from_bytes(encrypt_oracle(basis), "little"))
-    if gf2.rank(columns, STATE_BITS) != STATE_BITS:
-        raise SingularMapError("recovered cipher matrix is singular")
-    return LinearMap512(columns)
+    linear_map = LinearMap512(columns)
+    try:
+        linear_map.inverse_rows()
+    except SingularMapError as err:
+        raise SingularMapError("recovered cipher matrix is singular") from err
+    return linear_map
 
 
 def kpa_decrypt(linear_map: LinearMap512, ciphertext_block: bytes) -> bytes:

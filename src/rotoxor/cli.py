@@ -188,7 +188,14 @@ def _run_analyze(args) -> int:
 
 
 def _run_attack(key: bytes, trials: int, seed: int) -> int:
-    linear_map = analysis.recover_linear_map(lambda b: encrypt_block(b, key))
+    oracle_calls = 0
+
+    def oracle(block: bytes) -> bytes:
+        nonlocal oracle_calls
+        oracle_calls += 1
+        return encrypt_block(block, key)
+
+    linear_map = analysis.recover_linear_map(oracle)
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(trials):
@@ -196,7 +203,7 @@ def _run_attack(key: bytes, trials: int, seed: int) -> int:
         if analysis.kpa_decrypt(linear_map, ciphertext) != decrypt_block(ciphertext, key):
             mismatches += 1
     _print_lines([
-        "oracle_calls=512",
+        f"oracle_calls={oracle_calls}",
         "matrix_nonsingular=yes",
         f"verified_blocks={trials}",
         f"mismatches={mismatches}",

@@ -1,24 +1,21 @@
 """GF(2) linear algebra on bit-matrices stored as lists of int row bitmasks.
 
-Row i of an n x n matrix is an int whose bit j is the entry (i, j).
+Row i of an n x n matrix is an int whose bit j is the entry (i, j). The
+transpose and the elimination run on numpy arrays that pack each row into
+little-endian uint64 words (bit j in word j // 64, bit j % 64); callers only
+ever see the int rows.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import SingularMapError
 
 
 def transpose(rows: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        j = 0
-        while row:
-            if row & 1:
-                out[j] |= bit
-            row >>= 1
-            j += 1
-    return out
+    bits = np.unpackbits(_pack(rows, n).view(np.uint8), axis=1, bitorder="little")
+    return _unpack(np.packbits(bits[:, :n].T, axis=1, bitorder="little"))
 
 
 def mat_vec(rows: list[int], x: int) -> int:
@@ -30,38 +27,55 @@ def mat_vec(rows: list[int], x: int) -> int:
 
 
 def rank(rows: list[int], n: int) -> int:
-    """Rank via Gaussian elimination; the input is not modified."""
-    return len(_eliminate(list(rows), n))
+    """Rank over columns 0..n-1 via Gaussian elimination; the input is not modified."""
+    return len(_eliminate(_pack(rows, n), n))
 
 
 def invert(rows: list[int], n: int) -> list[int]:
     """Inverse via elimination on [A | I]; raises SingularMapError if singular."""
     if len(rows) != n:
         raise SingularMapError(f"matrix must be {n}x{n}")
-    work = [rows[i] | (1 << (n + i)) for i in range(n)]
+    work = _pack([row | (1 << (n + i)) for i, row in enumerate(rows)], 2 * n)
     pivots = _eliminate(work, n)
     if len(pivots) < n:
         col = min(set(range(n)).difference(pivots))
         raise SingularMapError(f"matrix is singular (no pivot in column {col})")
-    return [row >> n for row in work]
+    return [row >> n for row in _unpack(work)]
 
 
-def _eliminate(work: list[int], n: int) -> list[int]:
-    # Gauss-Jordan elimination in place on bit columns 0..n-1: afterwards
-    # work[r] is the only row with a bit in pivots[r], and those rows come
-    # first, in column order. Bits at n and above ride along, which is how
-    # invert carries the identity half of [A | I].
-    pivots = []
+def _pack(rows: list[int], width: int) -> np.ndarray:
+    # (len(rows), ceil(width / 64)) uint64 copy of the rows' bits 0..width-1.
+    words = -(-width // 64)
+    mask = (1 << width) - 1
+    data = bytearray(b"".join((row & mask).to_bytes(8 * words, "little") for row in rows))
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
+
+
+def _unpack(packed: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _eliminate(work: np.ndarray, n: int) -> list[int]:
+    # Gauss-Jordan elimination in place on bit columns 0..n-1 of the packed
+    # rows: afterwards work[r] is the only row with a bit in pivots[r], and
+    # those rows come first, in column order. The pivot is the first row at
+    # or below r with the column's bit, as in a row-by-row scan. Bits at n
+    # and above ride along, which is how invert carries the identity half of
+    # [A | I].
+    pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
         if r == len(work):
             break
-        pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
+        word, shift = divmod(col, 64)
+        bits = (work[:, word] >> shift) & 1
+        pivot = r + int(bits[r:].argmax())
+        if not bits[pivot]:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
+        if pivot != r:
+            work[[r, pivot]] = work[[pivot, r]]
+            bits[pivot] = bits[r]
+        bits[r] = 0
+        work ^= bits[:, None] * work[r]
         pivots.append(col)
     return pivots

@@ -1,6 +1,12 @@
-"""Helpers that only the tests use: bit and GF(2) arithmetic, block adaptors."""
+"""Helpers that only the tests use: bit and GF(2) arithmetic, block adaptors.
+
+The GF(2) functions here work one int row at a time and are the slow
+reference that the packed ``rotoxor.gf2`` is compared against.
+"""
 
 import numpy as np
+
+from rotoxor.errors import SingularMapError
 
 
 def hamming_distance(a: bytes, b: bytes) -> int:
@@ -32,6 +38,66 @@ def mat_mul(a: list[int], b: list[int]) -> list[int]:
             k += 1
         out.append(acc)
     return out
+
+
+def apply_columns(columns, block: bytes) -> bytes:
+    """Matrix-vector product: XOR of the columns selected by the input bits."""
+    x = int.from_bytes(block, "little")
+    acc = 0
+    c = 0
+    while x:
+        if x & 1:
+            acc ^= columns[c]
+        x >>= 1
+        c += 1
+    return acc.to_bytes(64, "little")
+
+
+def transpose_reference(rows: list[int], n: int) -> list[int]:
+    out = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        j = 0
+        while row:
+            if row & 1:
+                out[j] |= bit
+            row >>= 1
+            j += 1
+    return out
+
+
+def rank_reference(rows: list[int], n: int) -> int:
+    return len(_eliminate_reference(list(rows), n))
+
+
+def invert_reference(rows: list[int], n: int) -> list[int]:
+    if len(rows) != n:
+        raise SingularMapError(f"matrix must be {n}x{n}")
+    work = [rows[i] | (1 << (n + i)) for i in range(n)]
+    pivots = _eliminate_reference(work, n)
+    if len(pivots) < n:
+        col = min(set(range(n)).difference(pivots))
+        raise SingularMapError(f"matrix is singular (no pivot in column {col})")
+    return [row >> n for row in work]
+
+
+def _eliminate_reference(work: list[int], n: int) -> list[int]:
+    # Gauss-Jordan on int rows in place over bit columns 0..n-1; the pivot
+    # is the first row at or below r with the column's bit.
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> col) & 1):
+                work[i] ^= work[r]
+        pivots.append(col)
+    return pivots
 
 
 def array_to_blocks(arr: np.ndarray) -> list[bytes]:

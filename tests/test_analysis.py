@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rotoxor import analysis
+from rotoxor import analysis, gf2
 from rotoxor.analysis import (
     LinearMap512,
     avalanche_key,
@@ -20,7 +20,7 @@ from rotoxor.analysis import (
 from rotoxor.cipher import decrypt_block, encrypt_block, xor_layer_encrypt
 from rotoxor.errors import SingularMapError
 from rotoxor.keys import derive_round_key
-from support import batched, flip_bit, hamming_distance, identity, mat_mul
+from support import apply_columns, batched, flip_bit, hamming_distance, identity, mat_mul
 
 
 def random_key(rng):
@@ -84,7 +84,7 @@ def test_recover_identity_oracle():
     assert lm.columns == tuple(1 << c for c in range(512))
     rng = random.Random(80)
     block = rng.randbytes(64)
-    assert lm.apply(block) == block
+    assert apply_columns(lm.columns, block) == block
     assert kpa_decrypt(lm, block) == block
 
 
@@ -107,11 +107,11 @@ def test_recover_and_apply_matches_cipher():
     rng = random.Random(81)
     key = random_key(rng)
     lm = recover_linear_map(lambda b: encrypt_block(b, key))
-    assert lm.is_nonsingular()
+    assert gf2.rank(list(lm.columns), 512) == 512
     assert 0.0 < lm.mean_column_weight() < 1.0
     for _ in range(100):
         block = rng.randbytes(64)
-        assert lm.apply(block) == encrypt_block(block, key)
+        assert apply_columns(lm.columns, block) == encrypt_block(block, key)
 
 
 def test_kpa_decrypt_matches_decrypt_block():
@@ -130,8 +130,23 @@ def test_kpa_uniform_block_zero_key():
 
 
 def test_recover_singular_oracle_raises():
-    with pytest.raises(SingularMapError):
+    with pytest.raises(SingularMapError, match="recovered cipher matrix is singular"):
         recover_linear_map(lambda b: bytes(64))
+
+
+def test_attack_eliminates_once(monkeypatch):
+    # Recovery inverts the matrix once; kpa_decrypt reuses that inverse and
+    # no separate rank pass runs.
+    calls = []
+    rank, invert = gf2.rank, gf2.invert
+    monkeypatch.setattr(gf2, "rank", lambda *a: calls.append("rank") or rank(*a))
+    monkeypatch.setattr(gf2, "invert", lambda *a: calls.append("invert") or invert(*a))
+    rng = random.Random(84)
+    key = random_key(rng)
+    lm = recover_linear_map(lambda b: encrypt_block(b, key))
+    for _ in range(100):
+        kpa_decrypt(lm, rng.randbytes(64))
+    assert calls == ["invert"]
 
 
 # --- linearity check ---------------------------------------------------------

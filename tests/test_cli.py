@@ -252,6 +252,19 @@ def test_analyze_attack_default_trials(capsys):
     assert "matrix_nonsingular=yes" in out
 
 
+def test_analyze_attack_reports_counted_oracle_calls(capsys, monkeypatch):
+    recover = analysis.recover_linear_map
+
+    def two_extra_queries(oracle):
+        oracle(bytes(64))
+        oracle(bytes(64))
+        return recover(oracle)
+
+    monkeypatch.setattr(analysis, "recover_linear_map", two_extra_queries)
+    assert run_cli(["analyze", "attack", "--trials", "5", "--seed", "1"]) == 0
+    assert "oracle_calls=514" in capsys.readouterr().out.splitlines()
+
+
 def test_analyze_attack_respects_trials(capsys):
     assert run_cli(["analyze", "attack", "--trials", "10", "--seed", "1"]) == 0
     assert "recovered map verified on 10 blocks" in capsys.readouterr().out

@@ -3,10 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotoxor import gf2
 from rotoxor.errors import SingularMapError
-from support import identity, mat_mul
+from support import (
+    identity,
+    invert_reference,
+    mat_mul,
+    rank_reference,
+    transpose_reference,
+)
+
+# Word boundaries of the packed rows: [A | I] is 2n bits wide, so n = 63
+# fills two uint64 words, n = 65 spills into a third.
+SIZES = (1, 2, 63, 64, 65, 130, 512)
 
 
 def _random_invertible(rng, n):
@@ -99,3 +111,70 @@ def test_invert_singular_raises():
     with pytest.raises(SingularMapError):
         gf2.invert(identity(4), 5)
 
+
+
+def _invert_or_error(invert, rows, n):
+    try:
+        return invert(rows, n)
+    except SingularMapError as err:
+        return str(err)
+
+
+def _assert_matches_reference(rows, n):
+    snapshot = list(rows)
+    assert gf2.transpose(rows, n) == transpose_reference(rows, n)
+    assert gf2.rank(rows, n) == rank_reference(rows, n)
+    assert _invert_or_error(gf2.invert, rows, n) == _invert_or_error(invert_reference, rows, n)
+    assert rows == snapshot
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_packed_matches_reference_on_random_matrices(n):
+    rng = random.Random(14 + n)
+    _assert_matches_reference([rng.getrandbits(n) for _ in range(n)], n)
+    _assert_matches_reference(_random_invertible(rng, n), n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rank_matches_reference_for_other_row_counts(n):
+    rng = random.Random(15 + n)
+    for count in (0, n // 2, n + 3):
+        rows = [rng.getrandbits(n) if rng.random() < 0.7 else 0 for _ in range(count)]
+        snapshot = list(rows)
+        assert gf2.rank(rows, n) == rank_reference(rows, n)
+        assert rows == snapshot
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_singular_names_the_reference_column(n):
+    rng = random.Random(16 + n)
+    rows = _random_invertible(rng, n)
+    # row i becomes a sum of other rows (the empty sum when n = 1)
+    i = rng.randrange(n)
+    rows[i] = 0
+    for j in rng.sample(range(n), n // 2):
+        if j != i:
+            rows[i] ^= rows[j]
+    expected = _invert_or_error(invert_reference, rows, n)
+    assert expected.startswith("matrix is singular (no pivot in column ")
+    with pytest.raises(SingularMapError) as err:
+        gf2.invert(rows, n)
+    assert str(err.value) == expected
+    # an all-zero column names that column
+    col = rng.randrange(n)
+    rows = [row & ~(1 << col) for row in _random_invertible(rng, n)]
+    with pytest.raises(SingularMapError, match=rf"no pivot in column {col}\)"):
+        gf2.invert(rows, n)
+
+
+def _square_matrices(n):
+    return st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n).map(
+        lambda rows: (rows, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70).flatmap(_square_matrices), st.integers(0, 70))
+def test_packed_matches_reference_property(matrix, cut):
+    rows, n = matrix
+    _assert_matches_reference(rows, n)
+    assert gf2.rank(rows[:cut], n) == rank_reference(rows[:cut], n)

@@ -43,21 +43,19 @@ class LinearMap512:
             if not 0 <= c < (1 << STATE_BITS):
                 raise ValueError("column is not a 512-bit vector")
         self.columns = cols
-        self._inverse_rows: list[int] | None = None
+        self._inverse: np.ndarray | None = None
 
     def rows(self) -> list[int]:
         return gf2.transpose(list(self.columns), STATE_BITS)
 
-    def inverse_rows(self) -> list[int]:
-        if self._inverse_rows is None:
-            self._inverse_rows = gf2.invert(self.rows(), STATE_BITS)
-        return self._inverse_rows
+    def inverse_packed(self) -> np.ndarray:
+        """The inverse matrix's rows packed by gf2.pack, computed once."""
+        if self._inverse is None:
+            self._inverse = gf2.pack(gf2.invert(self.rows(), STATE_BITS), STATE_BITS)
+        return self._inverse
 
     def mean_column_weight(self) -> float:
-        return self.total_column_weight() / (STATE_BITS * STATE_BITS)
-
-    def total_column_weight(self) -> int:
-        return sum(c.bit_count() for c in self.columns)
+        return sum(c.bit_count() for c in self.columns) / (STATE_BITS * STATE_BITS)
 
 
 def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512:
@@ -75,7 +73,7 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
         columns.append(int.from_bytes(encrypt_oracle(basis), "little"))
     linear_map = LinearMap512(columns)
     try:
-        linear_map.inverse_rows()
+        linear_map.inverse_packed()
     except SingularMapError as err:
         raise SingularMapError("recovered cipher matrix is singular") from err
     return linear_map
@@ -84,7 +82,7 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
 def kpa_decrypt(linear_map: LinearMap512, ciphertext_block: bytes) -> bytes:
     """Decrypt one block with the recovered matrix alone, no key involved."""
     y = int.from_bytes(bytes(ciphertext_block), "little")
-    x = gf2.mat_vec(linear_map.inverse_rows(), y)
+    x = gf2.mat_vec(linear_map.inverse_packed(), y)
     return x.to_bytes(64, "little")
 
 

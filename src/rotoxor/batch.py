@@ -1,8 +1,15 @@
 """Vectorized block pipeline used by the message codec and the analysis reports.
 
 Round-for-round the same transform as cipher.encrypt_block/decrypt_block,
-applied to N blocks at once with numpy. The test suite pins the two
-implementations to byte equality on random data.
+applied to N blocks at once, with each step a fixed number of numpy calls
+whatever N is. The rounds work on the (64, N) transpose of the blocks, one
+row per cell, so every table lookup gathers whole rows; the (N, 64) uint8
+result is a view of that transpose. ``_MIX_1``/``_MIX_2`` are cipher's
+``_NEIGH_1``/``_NEIGH_2`` as (5, 64) tables (column i: cell i and its four
+neighbours): a mix pass is one gather and one XOR-reduce over the spec's own
+neighbourhood. Row m-1 of the (8, 64) ``_ROUND_CELLS`` names the key cell
+that keys.derive_round_key(key, m) puts at each cell, so one gather yields
+every round key. Tests pin this path to the scalar one byte for byte.
 """
 
 from __future__ import annotations
@@ -11,44 +18,48 @@ from typing import Sequence
 
 import numpy as np
 
+from .cipher import _NEIGH_1, _NEIGH_2, ROUNDS
+
+_MIX_1, _MIX_2 = (np.array(table, dtype=np.intp).T.copy() for table in (_NEIGH_1, _NEIGH_2))
+_ROUND_CELLS = np.array([[i & ~7 | (i - s) & 7 for i in range(64)] for s in range(ROUNDS)])
+
 
 def encrypt_blocks(states, session_keys) -> np.ndarray:
     """Encrypt N blocks; ``session_keys`` is one key (64,) or one per block (N, 64)."""
-    x = _as_grid(states)
-    k = _as_grid(session_keys)
-    for m in range(1, 9):
-        rk = np.roll(k, m - 1, axis=2)
-        x = (x >> rk) | (x << ((8 - rk) & 7))
-        x = _mix(x, 1)
-    return x.reshape(-1, 64)
+    x = _as_rows(states).T
+    right, left = _round_shifts(session_keys)
+    for m in range(ROUNDS):
+        x = (x >> right[m]) | (x << left[m])
+        x = np.bitwise_xor.reduce(x[_MIX_1], axis=0)
+    return x.T
 
 
 def decrypt_blocks(states, session_keys) -> np.ndarray:
     """Inverse of encrypt_blocks under the same keys."""
-    x = _as_grid(states)
-    k = _as_grid(session_keys)
-    for m in range(8, 0, -1):
-        rk = np.roll(k, m - 1, axis=2)
-        x = _mix(_mix(x, 1), 2)
-        x = (x << rk) | (x >> ((8 - rk) & 7))
-    return x.reshape(-1, 64)
+    x = _as_rows(states).T
+    right, left = _round_shifts(session_keys)
+    for m in reversed(range(ROUNDS)):
+        x = np.bitwise_xor.reduce(x[_MIX_1], axis=0)
+        x = np.bitwise_xor.reduce(x[_MIX_2], axis=0)
+        x = (x << right[m]) | (x >> left[m])
+    return x.T
 
 
 def blocks_to_array(blocks: Sequence[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 64)
 
 
-def _as_grid(x) -> np.ndarray:
-    # Accept bytes-likes and arrays alike; see each block as an 8x8 grid.
+def _as_rows(x) -> np.ndarray:
+    # Accept bytes-likes and arrays alike; see them as (N, 64) rows of octets.
     if isinstance(x, (bytes, bytearray, memoryview)):
-        arr = np.frombuffer(bytes(x), dtype=np.uint8)
-    else:
-        arr = np.asarray(x, dtype=np.uint8)
-    return arr.reshape(-1, 8, 8)
+        x = np.frombuffer(bytes(x), dtype=np.uint8)
+    return np.asarray(x, dtype=np.uint8).reshape(-1, 64)
 
 
-def _mix(x: np.ndarray, dist: int) -> np.ndarray:
-    # One diffusion pass: XOR with the four plus-neighbors at the given distance.
-    return (x
-            ^ np.roll(x, dist, axis=1) ^ np.roll(x, -dist, axis=1)
-            ^ np.roll(x, dist, axis=2) ^ np.roll(x, -dist, axis=2))
+def _round_shifts(session_keys) -> tuple[np.ndarray, np.ndarray]:
+    # For K keys, the (8, 64, K) round keys r and the left shifts (8 - r) & 7
+    # that complete each rotation.
+    right = _as_rows(session_keys).T[_ROUND_CELLS]
+    left = 8 - right
+    left &= 7
+    return right, left

@@ -79,7 +79,7 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
 def next_session_key(prev: bytes) -> bytes:
     """Chain step: each digit becomes (itself + right neighbour in its row) mod 8."""
     _check_key(prev)
-    return bytes(map(add, prev, _RIGHT_NEIGHBOURS(prev))).translate(_MOD_BASE)
+    return _step(prev)
 
 
 def session_key_for_block(master: bytes, n: int) -> bytes:
@@ -103,7 +103,7 @@ def session_key_chain(master: bytes) -> Iterator[bytes]:
     _check_key(key)
     while key != ZERO_KEY:
         yield key
-        key = next_session_key(key)
+        key = _step(key)
     yield from repeat(key)
 
 
@@ -116,6 +116,11 @@ def is_weak_key(key: bytes) -> bool:
     identity.
     """
     return len(set(key)) == 1
+
+
+def _step(key: bytes) -> bytes:
+    # next_session_key without the check, for keys valid by construction.
+    return bytes(map(add, key, _RIGHT_NEIGHBOURS(key))).translate(_MOD_BASE)
 
 
 def _check_key(key: bytes) -> None:

@@ -53,6 +53,13 @@ def apply_columns(columns, block: bytes) -> bytes:
     return acc.to_bytes(64, "little")
 
 
+def mat_vec_reference(rows: list[int], x: int) -> int:
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & x).bit_count() & 1) << i
+    return out
+
+
 def transpose_reference(rows: list[int], n: int) -> list[int]:
     out = [0] * n
     for i, row in enumerate(rows):

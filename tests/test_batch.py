@@ -3,6 +3,9 @@
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotoxor import batch
 from rotoxor.cipher import decrypt_block, encrypt_block
@@ -63,3 +66,90 @@ def test_accepts_raw_bytes_inputs():
     key = bytes(rng.choices(range(8), k=64))
     out = batch.encrypt_blocks(state, key)
     assert array_to_blocks(out) == [encrypt_block(state, key)]
+
+
+def _random_keys(rng, n):
+    return np.frombuffer(bytes(rng.choices(range(8), k=64 * n)), dtype=np.uint8).reshape(n, 64)
+
+
+def _scalar(block_fn, states, keys):
+    # The scalar transform block by block; ``keys`` is one key or one per block.
+    blocks = array_to_blocks(states)
+    if isinstance(keys, bytes):
+        return [block_fn(s, keys) for s in blocks]
+    return [block_fn(s, k) for s, k in zip(blocks, array_to_blocks(keys))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 1000])
+def test_both_directions_match_scalar_at_edge_sizes(n):
+    rng = random.Random(56 + n)
+    states = batch.blocks_to_array([rng.randbytes(64) for _ in range(n)])
+    per_block = _random_keys(rng, n)
+    one = bytes(rng.choices(range(8), k=64))
+    one_row = np.frombuffer(one, dtype=np.uint8).reshape(1, 64)
+    for keys, scalar_keys in ((one, one), (one_row, one), (per_block, per_block)):
+        for fast, slow in ((batch.encrypt_blocks, encrypt_block),
+                           (batch.decrypt_blocks, decrypt_block)):
+            out = fast(states, keys)
+            assert out.dtype == np.uint8 and out.shape == (n, 64)
+            assert array_to_blocks(out) == _scalar(slow, states, scalar_keys)
+
+
+def test_empty_input_as_bytes():
+    # The codec's zero-master-key path sends no live blocks and no keys.
+    for fn in (batch.encrypt_blocks, batch.decrypt_blocks):
+        out = fn(b"", b"")
+        assert out.dtype == np.uint8 and out.shape == (0, 64)
+
+
+def test_non_contiguous_and_buffer_inputs():
+    rng = random.Random(57)
+    wide = batch.blocks_to_array([rng.randbytes(64) for _ in range(10)])
+    states = wide[::2]
+    keys = _random_keys(rng, 10)[::2]
+    assert not states.flags.c_contiguous and not keys.flags.c_contiguous
+    expected = _scalar(encrypt_block, states, keys)
+    assert array_to_blocks(batch.encrypt_blocks(states, keys)) == expected
+    assert array_to_blocks(batch.decrypt_blocks(states, keys)) == _scalar(
+        decrypt_block, states, keys)
+    raw_states = np.ascontiguousarray(states).tobytes()
+    raw_keys = np.ascontiguousarray(keys).tobytes()
+    for wrap in (bytearray, memoryview):
+        out = batch.encrypt_blocks(wrap(raw_states), wrap(raw_keys))
+        assert out.dtype == np.uint8 and out.shape == (5, 64)
+        assert array_to_blocks(out) == expected
+        back = batch.decrypt_blocks(wrap(out.tobytes()), wrap(raw_keys))
+        assert back.tobytes() == raw_states
+
+
+def test_zero_key_is_the_identity_both_ways():
+    # Under the all-zero key each round is I+N, and (I+N)^8 = I.
+    rng = random.Random(58)
+    states = batch.blocks_to_array([rng.randbytes(64) for _ in range(33)])
+    for keys in (bytes(64), np.zeros((33, 64), dtype=np.uint8)):
+        assert np.array_equal(batch.encrypt_blocks(states, keys), states)
+        assert np.array_equal(batch.decrypt_blocks(states, keys), states)
+
+
+@st.composite
+def _states_and_keys(draw):
+    n = draw(st.integers(0, 20))
+    states = draw(st.binary(min_size=64 * n, max_size=64 * n))
+    digits = st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes)
+    if draw(st.booleans()):
+        keys = draw(digits)
+    else:
+        keys = b"".join(draw(st.lists(digits, min_size=n, max_size=n)))
+    return np.frombuffer(states, dtype=np.uint8).reshape(n, 64), keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_states_and_keys())
+def test_batch_matches_scalar_property(case):
+    states, keys = case
+    key_rows = keys if len(keys) == 64 else np.frombuffer(keys, dtype=np.uint8).reshape(-1, 64)
+    enc = batch.encrypt_blocks(states, keys)
+    assert array_to_blocks(enc) == _scalar(encrypt_block, states, key_rows)
+    assert array_to_blocks(batch.decrypt_blocks(states, keys)) == _scalar(
+        decrypt_block, states, key_rows)
+    assert np.array_equal(batch.decrypt_blocks(enc, keys), states)

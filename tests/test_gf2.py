@@ -12,6 +12,7 @@ from support import (
     identity,
     invert_reference,
     mat_mul,
+    mat_vec_reference,
     rank_reference,
     transpose_reference,
 )
@@ -178,3 +179,26 @@ def test_packed_matches_reference_property(matrix, cut):
     rows, n = matrix
     _assert_matches_reference(rows, n)
     assert gf2.rank(rows[:cut], n) == rank_reference(rows[:cut], n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mat_vec_matches_reference(n):
+    # Int rows and packed rows give the row-by-row parity; bits of x past
+    # the rows' width count as zero.
+    rng = random.Random(17 + n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    packed = gf2.pack(rows, n)
+    for x in (0, 1, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n + 70)):
+        expected = mat_vec_reference(rows, x)
+        assert gf2.mat_vec(rows, x) == expected
+        assert gf2.mat_vec(packed, x) == expected
+    assert gf2.mat_vec([], 5) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70).flatmap(_square_matrices), st.integers(0, (1 << 140) - 1))
+def test_mat_vec_matches_reference_property(matrix, x):
+    rows, n = matrix
+    expected = mat_vec_reference(rows, x)
+    assert gf2.mat_vec(rows, x) == expected
+    assert gf2.mat_vec(gf2.pack(rows, n), x) == expected

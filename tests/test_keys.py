@@ -140,8 +140,8 @@ def test_chain_stops_stepping_at_zero_key(monkeypatch):
     # A uniform 4 key doubles to all-zero in one step; zero is a fixed
     # point, so neither the chain nor the block lookup steps past it.
     steps = []
-    step = keys.next_session_key
-    monkeypatch.setattr(keys, "next_session_key", lambda k: steps.append(k) or step(k))
+    step = keys._step
+    monkeypatch.setattr(keys, "_step", lambda k: steps.append(k) or step(k))
     chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
     assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
     assert len(steps) == 1

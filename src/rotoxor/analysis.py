@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,31 +31,23 @@ BatchEncryptFn = Callable[[np.ndarray, bytes], np.ndarray]
 class LinearMap512:
     """The fixed-key block transform as a 512x512 bit matrix over GF(2).
 
-    Column c holds the image of the c-th single-bit basis state, encoded as a
-    512-bit int (octet k of a state occupies bits 8k..8k+7, LSB first).
+    ``columns`` holds the matrix's columns as gf2 packed rows, shape
+    (512, 8): row c is the image of the c-th single-bit basis state, so its
+    bytes are that ciphertext block. ``inverse`` holds the packed rows of the
+    inverse matrix, computed once when the map is built; building raises
+    SingularMapError if there is none.
     """
 
-    def __init__(self, columns: Sequence[int]):
-        cols = tuple(columns)
-        if len(cols) != STATE_BITS:
-            raise ValueError(f"expected {STATE_BITS} columns, got {len(cols)}")
-        for c in cols:
-            if not 0 <= c < (1 << STATE_BITS):
-                raise ValueError("column is not a 512-bit vector")
-        self.columns = cols
-        self._inverse: np.ndarray | None = None
-
-    def rows(self) -> list[int]:
-        return gf2.transpose(list(self.columns), STATE_BITS)
-
-    def inverse_packed(self) -> np.ndarray:
-        """The inverse matrix's rows packed by gf2.pack, computed once."""
-        if self._inverse is None:
-            self._inverse = gf2.pack(gf2.invert(self.rows(), STATE_BITS), STATE_BITS)
-        return self._inverse
+    def __init__(self, columns: np.ndarray):
+        if columns.shape != (STATE_BITS, STATE_BITS // 64):
+            raise ValueError(
+                f"expected {STATE_BITS} packed columns of {STATE_BITS} bits, got {columns.shape}")
+        self.columns = columns
+        self.inverse = gf2.invert(gf2.transpose(columns, STATE_BITS), STATE_BITS)
 
     def mean_column_weight(self) -> float:
-        return sum(c.bit_count() for c in self.columns) / (STATE_BITS * STATE_BITS)
+        ones = int(np.unpackbits(self.columns.view(np.uint8)).sum())
+        return ones / (STATE_BITS * STATE_BITS)
 
 
 def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512:
@@ -63,27 +55,21 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
 
     The oracle must be the block transform under one fixed session key. Each
     single-bit basis state is queried once; its ciphertext is one matrix
-    column. The inverse is computed here, once, and cached for kpa_decrypt.
-    Raises SingularMapError if the result is not invertible, which for this
+    column. The inverse is computed here, once, for kpa_decrypt. Raises
+    SingularMapError if the result is not invertible, which for this
     construction signals a broken implementation.
     """
-    columns = []
-    for c in range(STATE_BITS):
-        basis = (1 << c).to_bytes(64, "little")
-        columns.append(int.from_bytes(encrypt_oracle(basis), "little"))
-    linear_map = LinearMap512(columns)
+    replies = b"".join(encrypt_oracle((1 << c).to_bytes(64, "little"))
+                       for c in range(STATE_BITS))
     try:
-        linear_map.inverse_packed()
+        return LinearMap512(np.frombuffer(replies, "<u8").reshape(STATE_BITS, -1))
     except SingularMapError as err:
         raise SingularMapError("recovered cipher matrix is singular") from err
-    return linear_map
 
 
 def kpa_decrypt(linear_map: LinearMap512, ciphertext_block: bytes) -> bytes:
     """Decrypt one block with the recovered matrix alone, no key involved."""
-    y = int.from_bytes(bytes(ciphertext_block), "little")
-    x = gf2.mat_vec(linear_map.inverse_packed(), y)
-    return x.to_bytes(64, "little")
+    return gf2.mat_vec(linear_map.inverse, np.frombuffer(ciphertext_block, "<u8")).tobytes()
 
 
 def linearity_check(
@@ -158,15 +144,6 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
     return _avalanche_report(distances, seed, "plaintext-sample")
 
 
-def avalanche_plaintext_sweep(session_key: bytes, seed: int = 0) -> AvalancheReport:
-    """Measure every one of the 512 flip positions exactly once."""
-    _check_key(bytes(session_key))
-    base = batch.blocks_to_array([random.Random(seed).randbytes(64)])
-    flipped = _flip_bits(np.repeat(base, STATE_BITS, axis=0), range(STATE_BITS))
-    distances = _output_distances(base, session_key, flipped, session_key)
-    return _avalanche_report(distances, seed, "plaintext-sweep")
-
-
 def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
     """Sample key sensitivity: change one key digit to a different value per trial."""
     _check_key(bytes(master))
@@ -209,12 +186,13 @@ def repeated_block_report(
     Over early block positions the chained session keys keep the ciphertexts
     pairwise distinct for typical keys and content. Degenerate exceptions:
     all-zero content (fixed point of every linear map), the all-zero master
-    key (fixed point of the chain), and block positions 17 and beyond. The
-    chain map is I+S per row over Z8 with S the cyclic shift, and (I+S)^16
-    is the zero map mod 8, so every master key's chain reaches the all-zero
-    session key by step 16. The all-zero key turns the block transform into
-    the identity, so from block 17 on identical content always collides
-    (and, worse, is transmitted unchanged).
+    key (fixed point of the chain), and block positions 13 and beyond. The
+    chain map is I+S per row over Z8 with S the cyclic shift; since
+    (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8, every session key
+    from block 13 on has digits 0 or 4 only and rows of period 4. Such a
+    key turns the block transform into the identity, so from block 13 on
+    identical content always collides (and, worse, is transmitted
+    unchanged).
     """
     if block_count < 2:
         raise ValueError("block_count must be >= 2")

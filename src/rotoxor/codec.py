@@ -15,7 +15,7 @@ from typing import Sequence
 from . import batch
 from .cipher import BLOCK_SIZE
 from .errors import BlockSizeError, DecodeError, PaddingError
-from .keys import ZERO_KEY, session_key_chain
+from .keys import _is_identity_key, session_key_chain
 
 SENTINEL = b"###"
 
@@ -70,12 +70,13 @@ def unpad_message(padded: bytes) -> bytes:
 def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]:
     """Pad, split into blocks, and encrypt block n under its chained session key.
 
-    Only the blocks before the first all-zero session key (at most 16) go
-    through the rounds. The chain map is I+S per key row over Z8 and
-    (I+S)^16 = 0 mod 8, so every key from block 17 on is all-zero; under
-    the zero key each round is I+N over GF(2), and (I+N)^8 = I + N^8 = I
-    because N^4 = 0. Those later blocks are copied unchanged, exactly as
-    the full transform would leave them.
+    Only the blocks before the first identity session key (at most 12) go
+    through the rounds. The chain map is I+S per key row over Z8, and
+    (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8, so every key from
+    block 13 on has digits 0 or 4 only and rows of period 4. Under such a
+    key the block transform is the identity (see keys._is_identity_key).
+    Those later blocks are copied unchanged, exactly as the full transform
+    would leave them.
     """
     padded = pad_message(message, filler_source)
     live = _live_session_keys(master, len(padded) // BLOCK_SIZE)
@@ -87,10 +88,9 @@ def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]
 def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
     """Decrypt each block under its chained session key, concatenate, unpad.
 
-    As in encrypt_message, only the blocks before the first all-zero
-    session key go through the inverse rounds: from block 17 on the key is
-    zero, since (I+S)^16 = 0 mod 8, and the zero-key transform is the
-    identity, since (I+N)^8 = I over GF(2). Later blocks pass unchanged.
+    As in encrypt_message, only the blocks before the first identity
+    session key (at most 12) go through the inverse rounds; from block 13
+    on the transform is the identity, so later blocks pass unchanged.
     """
     blocks = list(stream)
     if not blocks:
@@ -106,10 +106,10 @@ def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
 
 
 def _live_session_keys(master: bytes, count: int) -> list[bytes]:
-    # Session keys of the first ``count`` blocks, up to the first zero key.
+    # Session keys of the first ``count`` blocks, up to the first identity key.
     live = []
     for key in islice(session_key_chain(master), count):
-        if key == ZERO_KEY:
+        if _is_identity_key(key):
             break
         live.append(key)
     return live

@@ -9,7 +9,7 @@ by rotating the session key's columns.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, itemgetter
 from typing import Iterator
 
@@ -19,8 +19,9 @@ KEY_DIGITS = 64
 DIGIT_BASE = 8
 ROUNDS = 8
 
-# The chain's fixed point: every master key reaches it by block 17, since
-# (I+S)^16 = 0 mod 8, and under it the block transform is the identity.
+# The chain's fixed point, reached by block 17 since (I+S)^16 = 0 mod 8.
+# Under it the block transform is the identity, as it already is under
+# every chain key from block 13 on (see _is_identity_key).
 ZERO_KEY = bytes(KEY_DIGITS)
 
 # The row-rotated copy of a key: each digit's right neighbour, wrapping
@@ -86,12 +87,7 @@ def session_key_for_block(master: bytes, n: int) -> bytes:
     """Session key of block ``n`` (1-based): the chain applied n-1 times to the master."""
     if n < 1:
         raise ValueError(f"block index must be >= 1, got {n}")
-    key = bytes(master)
-    for _ in range(n - 1):
-        if key == ZERO_KEY:
-            break
-        key = next_session_key(key)
-    return key
+    return next(islice(session_key_chain(master), n - 1, None))
 
 
 def session_key_chain(master: bytes) -> Iterator[bytes]:
@@ -121,6 +117,17 @@ def is_weak_key(key: bytes) -> bool:
 def _step(key: bytes) -> bytes:
     # next_session_key without the check, for keys valid by construction.
     return bytes(map(add, key, _RIGHT_NEIGHBOURS(key))).translate(_MOD_BASE)
+
+
+def _is_identity_key(key: bytes) -> bool:
+    # Every digit is 0 or 4 and digit i equals digit i ^ 4, so each row
+    # repeats with period 4. Each rotation is then a nibble swap or nothing,
+    # and the eight rounds cancel over GF(2): the block transform is the
+    # identity. The chain step keeps this form, and every chain key from
+    # block 13 on has it, since (I+S)^12 = 0 mod 4 and
+    # (I+S)^12 (I+S^4) = 0 mod 8.
+    return not key.strip(b"\x00\x04") and all(
+        key[i] == key[i ^ 4] for i in range(KEY_DIGITS))
 
 
 def _check_key(key: bytes) -> None:

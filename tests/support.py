@@ -1,11 +1,17 @@
 """Helpers that only the tests use: bit and GF(2) arithmetic, block adaptors.
 
-The GF(2) functions here work one int row at a time and are the slow
-reference that the packed ``rotoxor.gf2`` is compared against.
+The GF(2) functions here work one int row at a time (bit j of row i is the
+entry (i, j)) and are the slow reference that the packed ``rotoxor.gf2`` is
+compared against; ``pack_rows`` and ``unpack_rows`` convert between the two
+forms.
 """
+
+import random
 
 import numpy as np
 
+from rotoxor import analysis
+from rotoxor.cipher import encrypt_block
 from rotoxor.errors import SingularMapError
 
 
@@ -19,6 +25,19 @@ def flip_bit(state: bytes, position: int) -> bytes:
     out = bytearray(state)
     out[position >> 3] ^= 1 << (position & 7)
     return bytes(out)
+
+
+def pack_rows(rows: list[int], width: int) -> np.ndarray:
+    """Int rows as gf2 packed rows, (len(rows), ceil(width / 64)) uint64; bits >= width drop."""
+    words = -(-width // 64)
+    mask = (1 << width) - 1
+    data = b"".join((row & mask).to_bytes(8 * words, "little") for row in rows)
+    return np.frombuffer(data, "<u8").reshape(len(rows), words).copy()
+
+
+def unpack_rows(packed: np.ndarray) -> list[int]:
+    """Inverse of pack_rows: one int per packed row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def identity(n: int) -> list[int]:
@@ -105,6 +124,20 @@ def _eliminate_reference(work: list[int], n: int) -> list[int]:
                 work[i] ^= work[r]
         pivots.append(col)
     return pivots
+
+
+def scalar_avalanche_plaintext_sweep(key: bytes, seed: int):
+    """Flip each of the 512 state bits of one seeded random block once."""
+    base = random.Random(seed).randbytes(64)
+    encrypted = encrypt_block(base, key)
+    distances = [hamming_distance(encrypted, encrypt_block(flip_bit(base, p), key))
+                 for p in range(512)]
+    return analysis._avalanche_report(distances, seed, "plaintext-sweep")
+
+
+def is_identity_form(key: bytes) -> bool:
+    """Every digit 0 or 4, and every 8-digit row repeating with period 4."""
+    return set(key) <= {0, 4} and all(key[i] == key[i ^ 4] for i in range(64))
 
 
 def array_to_blocks(arr: np.ndarray) -> list[bytes]:

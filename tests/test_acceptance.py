@@ -14,7 +14,6 @@ from rotoxor import analysis, cli, gf2
 from rotoxor.analysis import (
     avalanche_key,
     avalanche_plaintext,
-    avalanche_plaintext_sweep,
     bench_throughput,
     keyspace_report,
     kpa_decrypt,
@@ -33,7 +32,14 @@ from rotoxor.cipher import (
 )
 from rotoxor.codec import decrypt_message, encrypt_message
 from rotoxor.keys import derive_round_key, next_session_key
-from support import batched, identity, mat_mul
+from support import (
+    batched,
+    identity,
+    mat_mul,
+    pack_rows,
+    scalar_avalanche_plaintext_sweep,
+    unpack_rows,
+)
 
 
 def acceptance(name):
@@ -91,17 +97,18 @@ def test_layer_inverse_suite():
                 n_mat[row] |= 1 << ((ni % 8) * 8 + (nj % 8))
     eye = identity(64)
     a = [eye[i] ^ n_mat[i] for i in range(64)]
+    packed_a = pack_rows(a, 64)
 
     # the construction matches the implementation on every basis cell
     for cell in range(64):
         probe = bytearray(64)
         probe[cell] = 1
         image = xor_layer_encrypt(bytes(probe))
-        expected = gf2.mat_vec(a, 1 << cell)
+        expected = unpack_rows([gf2.mat_vec(packed_a, pack_rows([1 << cell], 64)[0])])[0]
         assert sum((image[i] & 1) << i for i in range(64)) == expected
 
-    assert gf2.rank(a, 64) == 64, "diffusion matrix must be nonsingular"
-    gaussian_inverse = gf2.invert(a, 64)
+    assert gf2.rank(packed_a, 64) == 64, "diffusion matrix must be nonsingular"
+    gaussian_inverse = unpack_rows(gf2.invert(packed_a, 64))
     n2 = mat_mul(n_mat, n_mat)
     n4 = mat_mul(n2, n2)
     closed_form = mat_mul(
@@ -187,7 +194,7 @@ def test_repeated_block_claim():
 def test_avalanche_consistency():
     rng = random.Random(0xAC07)
     key = random_key(rng)
-    sweep = avalanche_plaintext_sweep(key, seed=17)
+    sweep = scalar_avalanche_plaintext_sweep(key, seed=17)
     linear_map = recover_linear_map(lambda b: encrypt_block(b, key))
     assert sweep.flipped_ratio_mean == linear_map.mean_column_weight()
     # reports are bit-identical under fixed seeds

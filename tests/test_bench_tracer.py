@@ -5,6 +5,7 @@ the package drops or renames would otherwise break only `--trace 1` runs.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,10 +21,14 @@ def _load_tracer_class():
     return module.Tracer
 
 
-def test_tracer_installs_and_restores():
+def _tracer():
     rx = SimpleNamespace(analysis=analysis, batch=batch, cipher=cipher, cli=cli,
                          codec=codec, gf2=gf2, keys=keys)
-    tracer = _load_tracer_class()(rx)
+    return _load_tracer_class()(rx)
+
+
+def test_tracer_installs_and_restores():
+    tracer = _tracer()
     originals = [(module, attr, getattr(module, attr))
                  for module, attr, _, _ in tracer.patches]
     tracer.install()
@@ -40,3 +45,23 @@ def test_tracer_installs_and_restores():
     names = [span[1] for span in tracer.spans]
     assert names.count("batch.encrypt_blocks") == 4 + 2
     assert "cipher.encrypt_block" not in names
+
+
+def test_tracer_counts_the_attack(capsys):
+    # One recovery (512 basis queries, one transpose and one inversion of
+    # the packed matrix) and one scalar check and one product per trial.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert cli.main(["analyze", "attack", "--trials", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "oracle_calls=512" in capsys.readouterr().out
+    names = Counter(span[1] for span in tracer.spans)
+    assert tracer.counts["analysis.oracle_calls"] == 512
+    assert names["cipher.encrypt_block"] == 512
+    assert names["cipher.decrypt_block"] == 5
+    assert names["gf2.transpose"] == 1
+    assert names["gf2.invert"] == 1
+    assert names["gf2.rank"] == 0
+    assert names["gf2.mat_vec"] == 5

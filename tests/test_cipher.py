@@ -15,7 +15,7 @@ from rotoxor.cipher import (
     xor_layer_decrypt,
     xor_layer_encrypt,
 )
-from support import identity, mat_mul
+from support import identity, mat_mul, pack_rows, unpack_rows
 
 
 def random_state(rng):
@@ -155,13 +155,13 @@ def _cell_matrix():
         image = xor_layer_encrypt(bytes(probe))
         col = sum((image[i] & 1) << i for i in range(64))
         rows.append(col)
-    return gf2.transpose(rows, 64)
+    return unpack_rows(gf2.transpose(pack_rows(rows, 64), 64))
 
 
 def test_xor_layer_matrix_nonsingular_and_closed_form_inverse():
     a = _cell_matrix()
-    assert gf2.rank(a, 64) == 64
-    inverse = gf2.invert(a, 64)
+    assert gf2.rank(pack_rows(a, 64), 64) == 64
+    inverse = unpack_rows(gf2.invert(pack_rows(a, 64), 64))
     # A = I + N. The inverse in closed form is (I+N)(I+N^2)(I+N^4).
     eye = identity(64)
     n_mat = [a[i] ^ eye[i] for i in range(64)]

@@ -1,7 +1,12 @@
-"""GF(2) bit-matrix helpers: elimination, inversion, products."""
+"""GF(2) bit-matrix helpers: elimination, inversion, products.
+
+``rotoxor.gf2`` works on packed uint64 rows; these tests write matrices as
+int rows and convert with ``support.pack_rows``/``unpack_rows``.
+"""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +18,28 @@ from support import (
     invert_reference,
     mat_mul,
     mat_vec_reference,
+    pack_rows,
     rank_reference,
     transpose_reference,
+    unpack_rows,
 )
 
 # Word boundaries of the packed rows: [A | I] is 2n bits wide, so n = 63
 # fills two uint64 words, n = 65 spills into a third.
 SIZES = (1, 2, 63, 64, 65, 130, 512)
+
+
+def _transpose(rows, n):
+    return unpack_rows(gf2.transpose(pack_rows(rows, n), n))
+
+
+def _rank(rows, n):
+    return gf2.rank(pack_rows(rows, n), n)
+
+
+def _mat_vec(rows, x, n):
+    # The product of n-bit int rows and an int vector, through packed rows.
+    return unpack_rows([gf2.mat_vec(pack_rows(rows, n), pack_rows([x], n)[0])])[0]
 
 
 def _random_invertible(rng, n):
@@ -37,7 +57,7 @@ def test_identity_is_identity():
     n = 16
     eye = identity(n)
     for x in (0, 1, 0b1010, (1 << n) - 1):
-        assert gf2.mat_vec(eye, x) == x
+        assert _mat_vec(eye, x, n) == x
     assert mat_mul(eye, eye) == eye
 
 
@@ -45,20 +65,21 @@ def test_transpose_involution():
     rng = random.Random(10)
     n = 32
     rows = [rng.getrandbits(n) for _ in range(n)]
-    assert gf2.transpose(gf2.transpose(rows, n), n) == rows
-    assert gf2.transpose(identity(n), n) == identity(n)
+    a = pack_rows(rows, n)
+    assert unpack_rows(gf2.transpose(gf2.transpose(a, n), n)) == rows
+    assert _transpose(identity(n), n) == identity(n)
 
 
 def test_transpose_entries():
     # 2x2: [[1,1],[0,1]] -> [[1,0],[1,1]]
-    assert gf2.transpose([0b11, 0b10], 2) == [0b01, 0b11]
+    assert _transpose([0b11, 0b10], 2) == [0b01, 0b11]
 
 
 def test_mat_vec_is_row_parity():
     rows = [0b101, 0b011, 0b110]
     # x = 0b111: parities are 0, 0, 0 except row weights 2,2,2 -> all even
-    assert gf2.mat_vec(rows, 0b111) == 0
-    assert gf2.mat_vec(rows, 0b001) == 0b011
+    assert _mat_vec(rows, 0b111, 3) == 0
+    assert _mat_vec(rows, 0b001, 3) == 0b011
 
 
 def test_mat_mul_matches_mat_vec():
@@ -67,38 +88,38 @@ def test_mat_mul_matches_mat_vec():
     a = [rng.getrandbits(n) for _ in range(n)]
     b = [rng.getrandbits(n) for _ in range(n)]
     ab = mat_mul(a, b)
-    bt = gf2.transpose(b, n)
+    bt = _transpose(b, n)
     for _ in range(50):
         x = rng.getrandbits(n)
-        assert gf2.mat_vec(ab, x) == gf2.mat_vec(a, gf2.mat_vec(b, x))
+        assert _mat_vec(ab, x, n) == _mat_vec(a, _mat_vec(b, x, n), n)
     # row i of a*b equals a[i] applied to the rows of b
     for i in range(n):
-        assert gf2.mat_vec(bt, a[i]) == ab[i]
+        assert _mat_vec(bt, a[i], n) == ab[i]
 
 
 def test_rank_full_and_deficient():
     n = 20
-    assert gf2.rank(identity(n), n) == n
+    assert _rank(identity(n), n) == n
     rows = identity(n)
     rows[3] = rows[7]  # duplicate row
-    assert gf2.rank(rows, n) == n - 1
-    assert gf2.rank([0] * n, n) == 0
+    assert _rank(rows, n) == n - 1
+    assert _rank([0] * n, n) == 0
 
 
 def test_rank_does_not_modify_input():
     rng = random.Random(12)
     n = 16
-    rows = [rng.getrandbits(n) for _ in range(n)]
-    snapshot = list(rows)
+    rows = pack_rows([rng.getrandbits(n) for _ in range(n)], n)
+    snapshot = rows.copy()
     gf2.rank(rows, n)
-    assert rows == snapshot
+    np.testing.assert_array_equal(rows, snapshot)
 
 
 def test_invert_round_trip():
     rng = random.Random(13)
     for n in (1, 2, 8, 33):
         a = _random_invertible(rng, n)
-        inv = gf2.invert(a, n)
+        inv = unpack_rows(gf2.invert(pack_rows(a, n), n))
         assert mat_mul(a, inv) == identity(n)
         assert mat_mul(inv, a) == identity(n)
 
@@ -108,11 +129,9 @@ def test_invert_singular_raises():
     rows = identity(n)
     rows[0] = 0
     with pytest.raises(SingularMapError):
-        gf2.invert(rows, n)
+        gf2.invert(pack_rows(rows, n), n)
     with pytest.raises(SingularMapError):
-        gf2.invert(identity(4), 5)
-
-
+        gf2.invert(pack_rows(identity(4), 5), 5)
 
 def _invert_or_error(invert, rows, n):
     try:
@@ -121,12 +140,22 @@ def _invert_or_error(invert, rows, n):
         return str(err)
 
 
+def _packed_invert(packed, n):
+    inverse = gf2.invert(packed, n)
+    assert inverse.shape == packed.shape
+    return unpack_rows(inverse)
+
+
 def _assert_matches_reference(rows, n):
-    snapshot = list(rows)
-    assert gf2.transpose(rows, n) == transpose_reference(rows, n)
-    assert gf2.rank(rows, n) == rank_reference(rows, n)
-    assert _invert_or_error(gf2.invert, rows, n) == _invert_or_error(invert_reference, rows, n)
-    assert rows == snapshot
+    packed = pack_rows(rows, n)
+    snapshot = packed.copy()
+    transposed = gf2.transpose(packed, n)
+    assert transposed.shape == packed.shape
+    assert unpack_rows(transposed) == transpose_reference(rows, n)
+    assert gf2.rank(packed, n) == rank_reference(rows, n)
+    assert _invert_or_error(_packed_invert, packed, n) == \
+        _invert_or_error(invert_reference, rows, n)
+    np.testing.assert_array_equal(packed, snapshot)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -141,9 +170,10 @@ def test_rank_matches_reference_for_other_row_counts(n):
     rng = random.Random(15 + n)
     for count in (0, n // 2, n + 3):
         rows = [rng.getrandbits(n) if rng.random() < 0.7 else 0 for _ in range(count)]
-        snapshot = list(rows)
-        assert gf2.rank(rows, n) == rank_reference(rows, n)
-        assert rows == snapshot
+        packed = pack_rows(rows, n)
+        snapshot = packed.copy()
+        assert gf2.rank(packed, n) == rank_reference(rows, n)
+        np.testing.assert_array_equal(packed, snapshot)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -159,13 +189,13 @@ def test_singular_names_the_reference_column(n):
     expected = _invert_or_error(invert_reference, rows, n)
     assert expected.startswith("matrix is singular (no pivot in column ")
     with pytest.raises(SingularMapError) as err:
-        gf2.invert(rows, n)
+        gf2.invert(pack_rows(rows, n), n)
     assert str(err.value) == expected
     # an all-zero column names that column
     col = rng.randrange(n)
     rows = [row & ~(1 << col) for row in _random_invertible(rng, n)]
     with pytest.raises(SingularMapError, match=rf"no pivot in column {col}\)"):
-        gf2.invert(rows, n)
+        gf2.invert(pack_rows(rows, n), n)
 
 
 def _square_matrices(n):
@@ -178,27 +208,26 @@ def _square_matrices(n):
 def test_packed_matches_reference_property(matrix, cut):
     rows, n = matrix
     _assert_matches_reference(rows, n)
-    assert gf2.rank(rows[:cut], n) == rank_reference(rows[:cut], n)
+    assert _rank(rows[:cut], n) == rank_reference(rows[:cut], n)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_mat_vec_matches_reference(n):
-    # Int rows and packed rows give the row-by-row parity; bits of x past
-    # the rows' width count as zero.
+    # The packed product is the row-by-row parity; packing x to the rows'
+    # width drops its higher bits, which no row can select.
     rng = random.Random(17 + n)
     rows = [rng.getrandbits(n) for _ in range(n)]
-    packed = gf2.pack(rows, n)
+    packed = pack_rows(rows, n)
     for x in (0, 1, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n + 70)):
         expected = mat_vec_reference(rows, x)
-        assert gf2.mat_vec(rows, x) == expected
-        assert gf2.mat_vec(packed, x) == expected
-    assert gf2.mat_vec([], 5) == 0
+        product = gf2.mat_vec(packed, pack_rows([x], n)[0])
+        assert product.shape == packed.shape[1:]
+        assert unpack_rows([product])[0] == expected
+    assert _mat_vec([], 5, 3) == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 70).flatmap(_square_matrices), st.integers(0, (1 << 140) - 1))
 def test_mat_vec_matches_reference_property(matrix, x):
     rows, n = matrix
-    expected = mat_vec_reference(rows, x)
-    assert gf2.mat_vec(rows, x) == expected
-    assert gf2.mat_vec(gf2.pack(rows, n), x) == expected
+    assert _mat_vec(rows, x, n) == mat_vec_reference(rows, x)

@@ -3,10 +3,12 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
-from rotoxor import keys
+from rotoxor import batch, keys
 from rotoxor.errors import DigitError, LengthError
+from support import is_identity_form
 
 ROW_01234567 = bytes(range(8)) * 8
 
@@ -122,6 +124,14 @@ def test_session_key_for_block():
         keys.session_key_for_block(k, 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_session_key_for_block_checks_the_master(n):
+    with pytest.raises(ValueError, match="key digits must lie in 0..7"):
+        keys.session_key_for_block(bytes([9]) * 64, n)
+    with pytest.raises(ValueError, match="exactly 64 digits"):
+        keys.session_key_for_block(bytes(63), n)
+
+
 def test_chain_step_matches_digit_loop():
     def reference_step(prev):
         return bytes((prev[i + j] + prev[i + (j + 1) % 8]) % 8
@@ -159,6 +169,52 @@ def test_chain_collapses_to_zero_by_step_16():
         chain = list(islice(keys.session_key_chain(random_key(rng)), 17))
         assert all(d % 2 == 0 for d in chain[8])
         assert chain[16] == bytes(64)
+
+
+# --- the identity from block 13 on ------------------------------------------
+
+def test_chain_map_powers_mod_8():
+    # The chain map on one row is I+S, with (S k)[j] = k[j+1]. Every key
+    # from block 13 on is (I+S)^12 k: 4 times a vector whose rows have
+    # period 4, since (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8.
+    # (I+S)^11 is not 0 mod 4, so block 12 is not forced into that form.
+    eye = np.eye(8, dtype=np.int64)
+    shift = np.roll(eye, 1, axis=1)
+    p11 = np.linalg.matrix_power(eye + shift, 11)
+    p12 = np.linalg.matrix_power(eye + shift, 12)
+    assert not (p12 % 4).any()
+    assert (p11 % 4).any()
+    assert not (p12 @ (eye + np.linalg.matrix_power(shift, 4)) % 8).any()
+
+
+def _identity_form_key(rng):
+    halves = [rng.choice((0, 4)) for _ in range(32)]
+    return bytes(halves[r * 4 + c % 4] for r in range(8) for c in range(8))
+
+
+def test_identity_form_keys_leave_every_basis_state_unchanged():
+    basis = np.packbits(np.eye(512, dtype=np.uint8), axis=1, bitorder="little")
+    rng = random.Random(27)
+    for key in [_identity_form_key(rng) for _ in range(20)] + [bytes([4]) * 64]:
+        assert is_identity_form(key) and keys._is_identity_key(key)
+        assert np.array_equal(batch.encrypt_blocks(basis, key), basis)
+        assert np.array_equal(batch.decrypt_blocks(basis, key), basis)
+    # a {0, 4} key without period 4 is not the identity
+    key = bytearray(bytes([4]) * 64)
+    key[0] = 0
+    assert not is_identity_form(bytes(key)) and not keys._is_identity_key(bytes(key))
+    assert not np.array_equal(batch.encrypt_blocks(basis, bytes(key)), basis)
+
+
+def test_chain_keys_have_identity_form_from_block_13():
+    rng = random.Random(28)
+    first = []
+    for _ in range(300):
+        chain = list(islice(keys.session_key_chain(random_key(rng)), 20))
+        assert all(is_identity_form(k) for k in chain[12:])
+        assert [keys._is_identity_key(k) for k in chain] == list(map(is_identity_form, chain))
+        first.append(next(n for n, k in enumerate(chain, 1) if is_identity_form(k)))
+    assert set(first) <= {12, 13} and first.count(13) > 250
 
 
 def test_weak_key_predicate():

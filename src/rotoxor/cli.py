@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 bad key, 3 bad ciphertext data or padding
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -71,7 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_IO, f"io error: {exc}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls and
+    # returns a fresh Namespace each time.
     parser = _Parser(prog="rotoxor", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -144,15 +148,15 @@ def _run_encrypt(args) -> int:
     if plaintext.endswith(b"#"):
         _warn("message ends with '#'; decryption cannot tell it from padding")
     filler = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    stream = codec.encrypt_message(plaintext, master, filler)
-    _write_bytes(args.out, codec.encode_stream(stream, args.encoding))
+    ciphertext = codec._encrypt_buffer(plaintext, master, filler)
+    _write_bytes(args.out, codec._encode_buffer(ciphertext, args.encoding))
     return EXIT_OK
 
 
 def _run_decrypt(args) -> int:
     master = keys.read_key_file(args.key)
-    stream = codec.decode_stream(_read_bytes(args.in_), args.encoding)
-    _write_bytes(args.out, codec.decrypt_message(stream, master))
+    ciphertext = codec._decode_buffer(_read_bytes(args.in_), args.encoding)
+    _write_bytes(args.out, codec._decrypt_buffer(ciphertext, master))
     return EXIT_OK
 
 

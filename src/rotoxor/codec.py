@@ -4,11 +4,16 @@ Messages are padded with a three-octet '###' sentinel followed by random
 printable filler (never containing '#'), split into 64-octet blocks, and each
 block n is encrypted under the session key chained n-1 steps from the master
 key. Ciphertext serializes as raw octets, lowercase hex, or standard base64.
+
+The codec works on one contiguous buffer per message: the CLI calls the
+buffer functions directly, and only the public block-list functions
+(encrypt_message, decrypt_message, encode_stream, decode_stream) split a
+buffer into 64-octet blocks or join blocks into one.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 from itertools import islice
 from typing import Sequence
 
@@ -29,42 +34,42 @@ _BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456
 ENCODINGS = ("raw", "hex", "base64")
 
 
-def pad_message(message: bytes, filler_source) -> bytes:
+def pad_message(message: bytes, filler_source) -> bytearray:
     """Append '###' plus random printable filler up to the next block boundary.
 
     The sentinel is always appended, so a message that already fills whole
     blocks grows by one block. ``filler_source`` is a random.Random-style
-    source; only its choices() method is used.
+    source; only its choices() method is used. Returns a new bytearray, the
+    message's one copy, which the encryption then overwrites in place.
     """
-    message = bytes(message)
     fill = -(len(message) + len(SENTINEL)) % BLOCK_SIZE
     filler = bytes(filler_source.choices(_FILLER_ALPHABET, k=fill)) if fill else b""
-    return message + SENTINEL + filler
+    return bytearray().join((message, SENTINEL, filler))
 
 
-def unpad_message(padded: bytes) -> bytes:
+def unpad_message(padded) -> bytes:
     """Strip the sentinel and filler appended by pad_message.
 
     Scans the final block right to left past filler octets to the last '#',
     requires the full three-octet sentinel there (it may begin in the
-    previous block), and returns everything before it. Raises PaddingError
-    when the sentinel is missing or malformed, which is the symptom of
-    corrupted ciphertext or a wrong key.
+    previous block), and returns everything before it. ``padded`` may be any
+    bytes-like; only the final block and the sentinel are read before the
+    one copy of the result. Raises PaddingError when the sentinel is missing
+    or malformed, which is the symptom of corrupted ciphertext or a wrong key.
     """
-    data = bytes(padded)
+    data = memoryview(padded).cast("B")
     if not data or len(data) % BLOCK_SIZE:
         raise PaddingError(
             f"padded data must be a positive multiple of {BLOCK_SIZE} octets, got {len(data)}"
         )
     stop = len(data) - BLOCK_SIZE
-    i = len(data) - 1
-    while i >= stop and data[i] != 0x23:
-        i -= 1
-    if i < stop:
+    i = bytes(data[stop:]).rfind(b"#")
+    if i < 0:
         raise PaddingError("no padding sentinel in the final block")
+    i += stop
     if i < 2 or data[i - 2:i + 1] != SENTINEL:
         raise PaddingError("padding sentinel is malformed")
-    return data[:i - 2]
+    return bytes(data[:i - 2])
 
 
 def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]:
@@ -78,11 +83,7 @@ def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]
     Those later blocks are copied unchanged, exactly as the full transform
     would leave them.
     """
-    padded = pad_message(message, filler_source)
-    live = _live_session_keys(master, len(padded) // BLOCK_SIZE)
-    head = len(live) * BLOCK_SIZE
-    out = batch.encrypt_blocks(padded[:head], b"".join(live)).tobytes()
-    return _split_blocks(out + padded[head:])
+    return _split_blocks(_encrypt_buffer(message, master, filler_source))
 
 
 def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
@@ -98,37 +99,12 @@ def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
     if set(map(len, blocks)) != {BLOCK_SIZE}:
         idx, size = next((i, n) for i, n in enumerate(map(len, blocks)) if n != BLOCK_SIZE)
         raise BlockSizeError(f"block {idx} has {size} octets, expected {BLOCK_SIZE}")
-    data = b"".join(blocks)
-    live = _live_session_keys(master, len(blocks))
-    head = len(live) * BLOCK_SIZE
-    out = batch.decrypt_blocks(data[:head], b"".join(live)).tobytes()
-    return unpad_message(out + data[head:])
-
-
-def _live_session_keys(master: bytes, count: int) -> list[bytes]:
-    # Session keys of the first ``count`` blocks, up to the first identity key.
-    live = []
-    for key in islice(session_key_chain(master), count):
-        if _is_identity_key(key):
-            break
-        live.append(key)
-    return live
-
-
-def _split_blocks(data: bytes) -> list[bytes]:
-    return [data[i:i + BLOCK_SIZE] for i in range(0, len(data), BLOCK_SIZE)]
+    return _decrypt_buffer(b"".join(blocks), master)
 
 
 def encode_stream(stream: Sequence[bytes], encoding: str = "raw") -> bytes:
     """Serialize ciphertext blocks as raw octets, lowercase hex, or base64."""
-    data = b"".join(bytes(b) for b in stream)
-    if encoding == "raw":
-        return data
-    if encoding == "hex":
-        return data.hex().encode("ascii")
-    if encoding == "base64":
-        return base64.b64encode(data)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    return _encode_buffer(b"".join(bytes(b) for b in stream), encoding)
 
 
 def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
@@ -137,7 +113,43 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
     Raises DecodeError (with the offending position) for malformed hex or
     base64, BlockSizeError when the decoded length is not a multiple of 64.
     """
-    data = bytes(data)
+    return _split_blocks(_decode_buffer(bytes(data), encoding))
+
+
+# The codec's one implementation, on whole buffers; the CLI calls it directly.
+
+def _encrypt_buffer(message, master: bytes, filler_source) -> bytearray:
+    # Pad, encrypt the live head in place, and leave the tail as padded.
+    padded = pad_message(message, filler_source)
+    live = _live_session_keys(master, len(padded) // BLOCK_SIZE)
+    head = len(live) * BLOCK_SIZE
+    padded[:head] = batch.encrypt_blocks(padded[:head], b"".join(live)).tobytes()
+    return padded
+
+
+def _decrypt_buffer(data, master: bytes) -> bytes:
+    # Inverse of _encrypt_buffer; ``data`` is whole 64-octet blocks.
+    if not data:
+        raise BlockSizeError("ciphertext stream is empty")
+    live = _live_session_keys(master, len(data) // BLOCK_SIZE)
+    head = len(live) * BLOCK_SIZE
+    out = bytearray(data)
+    out[:head] = batch.decrypt_blocks(out[:head], b"".join(live)).tobytes()
+    return unpad_message(out)
+
+
+def _encode_buffer(data, encoding: str) -> bytes | bytearray:
+    # ``data`` itself for raw, so a raw write makes no copy of it.
+    if encoding == "raw":
+        return data
+    if encoding == "hex":
+        return binascii.hexlify(data)
+    if encoding == "base64":
+        return binascii.b2a_base64(data, newline=False)
+    raise ValueError(f"unknown encoding {encoding!r}")
+
+
+def _decode_buffer(data: bytes, encoding: str) -> bytes:
     if encoding == "raw":
         decoded = data
     elif encoding == "hex":
@@ -150,7 +162,22 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
         raise BlockSizeError(
             f"decoded length {len(decoded)} is not a multiple of {BLOCK_SIZE}"
         )
-    return _split_blocks(decoded)
+    return decoded
+
+
+def _live_session_keys(master: bytes, count: int) -> list[bytes]:
+    # Session keys of the first ``count`` blocks, up to the first identity key.
+    live = []
+    for key in islice(session_key_chain(master), count):
+        if _is_identity_key(key):
+            break
+        live.append(key)
+    return live
+
+
+def _split_blocks(data) -> list[bytes]:
+    data = bytes(data)
+    return [data[i:i + BLOCK_SIZE] for i in range(0, len(data), BLOCK_SIZE)]
 
 
 def _decode_hex(data: bytes) -> bytes:
@@ -159,7 +186,7 @@ def _decode_hex(data: bytes) -> bytes:
         raise DecodeError("invalid hex digit", pos)
     if len(data) % 2:
         raise DecodeError("odd-length hex input", len(data))
-    return bytes.fromhex(data.decode("ascii"))
+    return binascii.unhexlify(data)
 
 
 def _decode_base64(data: bytes) -> bytes:
@@ -173,7 +200,8 @@ def _decode_base64(data: bytes) -> bytes:
         raise DecodeError("invalid base64 character", pos)
     if len(data) % 4:
         raise DecodeError("base64 length is not a multiple of 4", len(data))
-    return base64.b64decode(data, validate=True)
+    # The checks above leave only strictly valid base64.
+    return binascii.a2b_base64(data)
 
 
 def _first_outside(data: bytes, alphabet: bytes) -> int | None:

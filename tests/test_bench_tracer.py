@@ -5,6 +5,7 @@ the package drops or renames would otherwise break only `--trace 1` runs.
 """
 
 import importlib.util
+import random
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,3 +66,36 @@ def test_tracer_counts_the_attack(capsys):
     assert names["gf2.invert"] == 1
     assert names["gf2.rank"] == 0
     assert names["gf2.mat_vec"] == 5
+
+
+def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):
+    # `rotoxor encrypt`/`decrypt` run the codec on one buffer: one batch call
+    # each way, the key chain and pad/unpad looked up by name, and none of
+    # the block-list functions (whose tracer attributes expect a list).
+    key, src, ct, out = (tmp_path / name for name in ("key", "m", "ct", "out"))
+    assert cli.main(["keygen", "--seed", "4", "--out", str(key)]) == 0
+    msg = random.Random(8).randbytes(2000)
+    src.write_bytes(msg)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for encoding in codec.ENCODINGS:
+            tracer.request += 1
+            assert cli.main(["encrypt", "--key", str(key), "--in", str(src), "--out", str(ct),
+                             "--encoding", encoding, "--seed", "7"]) == 0
+            assert cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out),
+                             "--encoding", encoding]) == 0
+            assert out.read_bytes() == msg
+    finally:
+        tracer.uninstall()
+    for request in (1, 2, 3):
+        names = Counter(span[1] for span in tracer.spans if span[5] == request)
+        assert names["cli.main"] == 2
+        assert names["batch.encrypt_blocks"] == names["batch.decrypt_blocks"] == 1
+        assert names["codec.pad_message"] == names["codec.unpad_message"] == 1
+        assert names["keys.session_key_chain"] >= 1
+        for fn in ("encrypt_message", "decrypt_message", "encode_stream", "decode_stream"):
+            assert names[f"codec.{fn}"] == 0
+    metrics = tracer.metrics(3)
+    assert metrics["batch.encrypt_blocks.calls"] == metrics["batch.decrypt_blocks.calls"] == 1
+    assert metrics["cli.main.self_ms.encrypt"] > 0

@@ -354,6 +354,9 @@ def _encoded(encoding):
                                                      _encoded("hex"), _encoded("base64")))))
 def test_decode_stream_fails_only_with_codec_errors(encoding, data):
     expected = _reference_error_position(data, encoding)
+    # The CLI's buffer decode fails alike: same error, message and position.
+    assert _failure(codec._decode_buffer, data, encoding) == _failure(
+        decode_stream, data, encoding)
     try:
         blocks = decode_stream(data, encoding)
     except DecodeError as err:
@@ -364,7 +367,17 @@ def test_decode_stream_fails_only_with_codec_errors(encoding, data):
         return
     assert expected is None
     assert all(len(b) == 64 for b in blocks)
+    assert codec._decode_buffer(data, encoding) == b"".join(blocks)
     assert decode_stream(encode_stream(blocks, encoding), encoding) == blocks
+
+
+def _failure(fn, *args):
+    # (type, message) of the codec error that fn raises, or None.
+    try:
+        fn(*args)
+    except (DecodeError, BlockSizeError) as err:
+        return type(err), str(err)
+    return None
 
 
 def test_decode_block_size_check():
@@ -379,3 +392,73 @@ def test_decode_raw_splits_blocks():
     data = bytes(range(64)) + bytes(64)
     blocks = decode_stream(data, "raw")
     assert blocks == [bytes(range(64)), bytes(64)]
+
+
+# --- the buffer core under the CLI -------------------------------------------
+
+def _check_buffer_core(msg, master, seed, encoding):
+    # The CLI's one-buffer path and the block-list API give the same octets,
+    # and both match every block sent through the full key chain.
+    stream = encrypt_message(msg, master, random.Random(seed))
+    assert all(type(block) is bytes for block in stream)
+    assert stream == _reference_encrypt(msg, master, random.Random(seed))
+    data = bytes(codec._encode_buffer(
+        codec._encrypt_buffer(msg, master, random.Random(seed)), encoding))
+    assert data == encode_stream(stream, encoding)
+    blocks = decode_stream(data, encoding)
+    assert all(type(block) is bytes for block in blocks)
+    decoded = codec._decode_buffer(data, encoding)
+    assert decoded == b"".join(blocks)
+    plain = codec._decrypt_buffer(decoded, master)
+    assert type(plain) is bytes
+    assert plain == decrypt_message(blocks, master) == msg
+
+
+@pytest.mark.parametrize("encoding", codec.ENCODINGS)
+def test_buffer_core_matches_list_api_at_edge_lengths(encoding):
+    rng = random.Random(73)
+    masters = [random_key(rng) for _ in range(2)] + [bytes([4]) * 64, bytes(64)]
+    for master in masters:
+        for length in (0, 61, 64, 767, 768, 1023, 1025):
+            _check_buffer_core(rng.randbytes(length), master, rng.random(), encoding)
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoding=st.sampled_from(codec.ENCODINGS),
+       master=st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes),
+       length=st.integers(0, 2200), seed=st.integers(0, 2**32 - 1))
+def test_buffer_core_matches_list_api(encoding, master, length, seed):
+    _check_buffer_core(random.Random(seed).randbytes(length), master, seed, encoding)
+
+
+def test_buffer_decrypt_rejects_empty_data():
+    with pytest.raises(BlockSizeError, match="^ciphertext stream is empty$"):
+        codec._decrypt_buffer(b"", bytes(range(8)) * 8)
+
+
+def _reference_unpad(data):
+    # Slow scan of the final block for the rightmost '#', or PaddingError.
+    n = len(data)
+    if n == 0 or n % 64:
+        return PaddingError
+    last = max((i for i in range(n - 64, n) if data[i] == 0x23), default=None)
+    if last is None or last < 2 or data[last - 2:last + 1] != b"###":
+        return PaddingError
+    return data[:last - 2]
+
+
+# Whole blocks drawn mostly from '#', so the sentinel checks are reached.
+_HASHY_BLOCKS = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.sampled_from(b"#.x"), min_size=64 * n, max_size=64 * n).map(bytes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), _HASHY_BLOCKS,
+                      st.binary(max_size=130).map(lambda m: bytes(pad_message(m, random.Random(0))))))
+def test_unpad_fails_only_with_padding_error(data):
+    expected = _reference_unpad(data)
+    for form in (data, bytearray(data), memoryview(data)):
+        out = _outcome(unpad_message, form)
+        assert out == expected
+        assert out is PaddingError or type(out) is bytes
+

@@ -25,8 +25,6 @@ from .keys import _check_key, session_key_chain
 
 STATE_BITS = 512
 
-BatchEncryptFn = Callable[[np.ndarray, bytes], np.ndarray]
-
 
 class LinearMap512:
     """The fixed-key block transform as a 512x512 bit matrix over GF(2).
@@ -73,24 +71,18 @@ def kpa_decrypt(linear_map: LinearMap512, ciphertext_block: bytes) -> bytes:
 
 
 def linearity_check(
-    session_key: bytes,
-    trials: int,
-    seed: int,
-    encrypt_fn: BatchEncryptFn | None = None,
+    session_key: bytes, trials: int, seed: int
 ) -> tuple[bool, tuple[bytes, bytes] | None]:
     """Test E(x^y) = E(x)^E(y) and E(0) = 0 on random pairs.
 
     Returns (True, None) when every trial holds, else (False, (x, y)) with
-    the first failing pair. ``encrypt_fn`` substitutes a different block
-    transform (used to show that a corrupted cipher fails the check). It has
-    batch.encrypt_blocks' contract: given an (N, 64) uint8 array of states
-    and ``session_key``, it returns the (N, 64) array of their images, row
-    for row. By default batch.encrypt_blocks itself runs.
+    the first failing pair. E is batch.encrypt_blocks, looked up when the
+    check runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_key(bytes(session_key))
-    encrypt = encrypt_fn if encrypt_fn is not None else batch.encrypt_blocks
+    encrypt = batch.encrypt_blocks
     rng = random.Random(seed)
     zero = bytes(64)
     if encrypt(batch.blocks_to_array([zero]), session_key).any():
@@ -186,13 +178,10 @@ def repeated_block_report(
     Over early block positions the chained session keys keep the ciphertexts
     pairwise distinct for typical keys and content. Degenerate exceptions:
     all-zero content (fixed point of every linear map), the all-zero master
-    key (fixed point of the chain), and block positions 13 and beyond. The
-    chain map is I+S per row over Z8 with S the cyclic shift; since
-    (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8, every session key
-    from block 13 on has digits 0 or 4 only and rows of period 4. Such a
-    key turns the block transform into the identity, so from block 13 on
-    identical content always collides (and, worse, is transmitted
-    unchanged).
+    key (fixed point of the chain), and block positions past
+    keys.LIVE_BLOCKS (13 and beyond). Their session keys turn the block
+    transform into the identity, so there identical content always
+    collides (and, worse, is transmitted unchanged).
     """
     if block_count < 2:
         raise ValueError("block_count must be >= 2")
@@ -231,14 +220,16 @@ class TimingReport:
 
 
 _BENCH_KEY = bytes(random.Random(0).choices(range(8), k=64))
+# The largest relative spread of the per-class means still called noise.
+_NOISE_THRESHOLD = 0.20
 
 
-def bench_throughput(block_count: int, noise_threshold: float = 0.20) -> TimingReport:
+def bench_throughput(block_count: int) -> TimingReport:
     """Time encrypt_block over three content classes under one fixed key.
 
     ``block_count`` blocks per class: all-zero, uniform (one repeated octet),
     and random content. Classes are interleaved in chunks to spread drift,
-    and the per-class means are compared against ``noise_threshold`` for the
+    and the per-class means are compared against _NOISE_THRESHOLD for the
     data-independence verdict.
     """
     if block_count < 100:
@@ -282,8 +273,8 @@ def bench_throughput(block_count: int, noise_threshold: float = 0.20) -> TimingR
         uniform_mean_ns=means["uniform"],
         random_mean_ns=means["random"],
         class_spread=spread,
-        noise_threshold=noise_threshold,
-        data_independent=spread <= noise_threshold,
+        noise_threshold=_NOISE_THRESHOLD,
+        data_independent=spread <= _NOISE_THRESHOLD,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import batch
 from .cipher import BLOCK_SIZE
 from .errors import BlockSizeError, DecodeError, PaddingError
-from .keys import _is_identity_key, session_key_chain
+from .keys import LIVE_BLOCKS, session_key_chain
 
 SENTINEL = b"###"
 
@@ -75,13 +75,10 @@ def unpad_message(padded) -> bytes:
 def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]:
     """Pad, split into blocks, and encrypt block n under its chained session key.
 
-    Only the blocks before the first identity session key (at most 12) go
-    through the rounds. The chain map is I+S per key row over Z8, and
-    (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8, so every key from
-    block 13 on has digits 0 or 4 only and rows of period 4. Under such a
-    key the block transform is the identity (see keys._is_identity_key).
-    Those later blocks are copied unchanged, exactly as the full transform
-    would leave them.
+    Only the first keys.LIVE_BLOCKS (12) blocks go through the rounds. Every
+    later session key makes the block transform the identity, so later
+    blocks are copied unchanged, exactly as the full transform would leave
+    them.
     """
     return _split_blocks(_encrypt_buffer(message, master, filler_source))
 
@@ -89,14 +86,11 @@ def encrypt_message(message: bytes, master: bytes, filler_source) -> list[bytes]
 def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
     """Decrypt each block under its chained session key, concatenate, unpad.
 
-    As in encrypt_message, only the blocks before the first identity
-    session key (at most 12) go through the inverse rounds; from block 13
-    on the transform is the identity, so later blocks pass unchanged.
+    As in encrypt_message, only the first keys.LIVE_BLOCKS blocks go
+    through the inverse rounds; later blocks pass unchanged.
     """
     blocks = list(stream)
-    if not blocks:
-        raise BlockSizeError("ciphertext stream is empty")
-    if set(map(len, blocks)) != {BLOCK_SIZE}:
+    if set(map(len, blocks)) - {BLOCK_SIZE}:
         idx, size = next((i, n) for i, n in enumerate(map(len, blocks)) if n != BLOCK_SIZE)
         raise BlockSizeError(f"block {idx} has {size} octets, expected {BLOCK_SIZE}")
     return _decrypt_buffer(b"".join(blocks), master)
@@ -121,9 +115,8 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
 def _encrypt_buffer(message, master: bytes, filler_source) -> bytearray:
     # Pad, encrypt the live head in place, and leave the tail as padded.
     padded = pad_message(message, filler_source)
-    live = _live_session_keys(master, len(padded) // BLOCK_SIZE)
-    head = len(live) * BLOCK_SIZE
-    padded[:head] = batch.encrypt_blocks(padded[:head], b"".join(live)).tobytes()
+    head = min(len(padded) // BLOCK_SIZE, LIVE_BLOCKS) * BLOCK_SIZE
+    padded[:head] = batch.encrypt_blocks(padded[:head], _head_keys(master, head)).tobytes()
     return padded
 
 
@@ -131,10 +124,9 @@ def _decrypt_buffer(data, master: bytes) -> bytes:
     # Inverse of _encrypt_buffer; ``data`` is whole 64-octet blocks.
     if not data:
         raise BlockSizeError("ciphertext stream is empty")
-    live = _live_session_keys(master, len(data) // BLOCK_SIZE)
-    head = len(live) * BLOCK_SIZE
+    head = min(len(data) // BLOCK_SIZE, LIVE_BLOCKS) * BLOCK_SIZE
     out = bytearray(data)
-    out[:head] = batch.decrypt_blocks(out[:head], b"".join(live)).tobytes()
+    out[:head] = batch.decrypt_blocks(out[:head], _head_keys(master, head)).tobytes()
     return unpad_message(out)
 
 
@@ -165,14 +157,9 @@ def _decode_buffer(data: bytes, encoding: str) -> bytes:
     return decoded
 
 
-def _live_session_keys(master: bytes, count: int) -> list[bytes]:
-    # Session keys of the first ``count`` blocks, up to the first identity key.
-    live = []
-    for key in islice(session_key_chain(master), count):
-        if _is_identity_key(key):
-            break
-        live.append(key)
-    return live
+def _head_keys(master: bytes, head: int) -> bytes:
+    # Session keys of the blocks in the first ``head`` octets.
+    return b"".join(islice(session_key_chain(master), head // BLOCK_SIZE))
 
 
 def _split_blocks(data) -> list[bytes]:
@@ -190,9 +177,7 @@ def _decode_hex(data: bytes) -> bytes:
 
 
 def _decode_base64(data: bytes) -> bytes:
-    end = len(data)
-    while end > 0 and data[end - 1] == 0x3D:  # '='
-        end -= 1
+    end = len(data.rstrip(b"="))
     if len(data) - end > 2:
         raise DecodeError("more than two base64 padding characters", end + 2)
     pos = _first_outside(data, _BASE64_ALPHABET)

@@ -19,9 +19,15 @@ KEY_DIGITS = 64
 DIGIT_BASE = 8
 ROUNDS = 8
 
+# The only blocks the cipher changes are blocks 1..LIVE_BLOCKS. The chain
+# map is I+S per key row over Z8 (S the cyclic shift), and (I+S)^12 = 0
+# mod 4 and (I+S)^12 (I+S^4) = 0 mod 8, so every session key from block 13
+# on has digits 0 or 4 only and rows of period 4. Each rotation is then a
+# nibble swap or nothing, and the eight rounds cancel over GF(2): the block
+# transform is the identity.
+LIVE_BLOCKS = 12
+
 # The chain's fixed point, reached by block 17 since (I+S)^16 = 0 mod 8.
-# Under it the block transform is the identity, as it already is under
-# every chain key from block 13 on (see _is_identity_key).
 ZERO_KEY = bytes(KEY_DIGITS)
 
 # The row-rotated copy of a key: each digit's right neighbour, wrapping
@@ -70,8 +76,6 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
     if not 1 <= m <= ROUNDS:
         raise ValueError(f"round index must be 1..{ROUNDS}, got {m}")
     shift = m - 1
-    if shift == 0:
-        return bytes(session_key)
     cut = 8 - shift
     rows = [session_key[i + cut:i + 8] + session_key[i:i + cut] for i in range(0, 64, 8)]
     return b"".join(rows)
@@ -117,17 +121,6 @@ def is_weak_key(key: bytes) -> bool:
 def _step(key: bytes) -> bytes:
     # next_session_key without the check, for keys valid by construction.
     return bytes(map(add, key, _RIGHT_NEIGHBOURS(key))).translate(_MOD_BASE)
-
-
-def _is_identity_key(key: bytes) -> bool:
-    # Every digit is 0 or 4 and digit i equals digit i ^ 4, so each row
-    # repeats with period 4. Each rotation is then a nibble swap or nothing,
-    # and the eight rounds cancel over GF(2): the block transform is the
-    # identity. The chain step keeps this form, and every chain key from
-    # block 13 on has it, since (I+S)^12 = 0 mod 4 and
-    # (I+S)^12 (I+S^4) = 0 mod 8.
-    return not key.strip(b"\x00\x04") and all(
-        key[i] == key[i ^ 4] for i in range(KEY_DIGITS))
 
 
 def _check_key(key: bytes) -> None:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from rotoxor import analysis, gf2
+from rotoxor import analysis, batch, gf2
 from rotoxor.analysis import (
     LinearMap512,
     avalanche_key,
@@ -173,27 +173,30 @@ def test_linearity_holds_for_cipher():
         assert ok and counterexample is None
 
 
-def test_linearity_scalar_path_agrees():
+def test_linearity_scalar_path_agrees(monkeypatch):
     rng = random.Random(84)
     key = random_key(rng)
-    ok, _ = linearity_check(key, 50, 7, encrypt_fn=batched(encrypt_block))
+    monkeypatch.setattr(batch, "encrypt_blocks", batched(encrypt_block))
+    ok, _ = linearity_check(key, 50, 7)
     assert ok
 
 
-def test_linearity_rejects_broken_cipher():
+def test_linearity_rejects_broken_cipher(monkeypatch):
     rng = random.Random(85)
     key = random_key(rng)
     assert any(d != 0 for d in key)
-    ok, counterexample = linearity_check(key, 200, 9, encrypt_fn=batched(broken_encrypt))
+    monkeypatch.setattr(batch, "encrypt_blocks", batched(broken_encrypt))
+    ok, counterexample = linearity_check(key, 200, 9)
     assert not ok
     # addition moves the zero state, so the E(0)=0 probe already fails
     assert counterexample == (bytes(64), bytes(64))
 
 
-def test_linearity_rejects_zero_fixing_nonlinear_cipher():
+def test_linearity_rejects_zero_fixing_nonlinear_cipher(monkeypatch):
     rng = random.Random(86)
     key = random_key(rng)
-    ok, counterexample = linearity_check(key, 200, 11, encrypt_fn=batched(scaled_encrypt))
+    monkeypatch.setattr(batch, "encrypt_blocks", batched(scaled_encrypt))
+    ok, counterexample = linearity_check(key, 200, 11)
     assert not ok
     x, y = counterexample
     assert (x, y) != (bytes(64), bytes(64))
@@ -292,10 +295,16 @@ def test_repeated_block_validation():
         repeated_block_report(bytes(64), bytes(64), 1)
 
 
+def _linearity_check_keyless_transform(key):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "encrypt_blocks", lambda states, _key: states)
+        return linearity_check(key, 5, 1)
+
+
 @pytest.mark.parametrize("report", [
     lambda key: avalanche_plaintext(key, 5, 1),
     # a substitute transform that never looks at the key
-    lambda key: linearity_check(key, 5, 1, encrypt_fn=lambda states, _key: states),
+    lambda key: _linearity_check_keyless_transform(key),
     lambda key: avalanche_key(key, 5, 1),
     lambda key: linearity_check(key, 5, 1),
     lambda key: repeated_block_report(key, bytes(64), 3),

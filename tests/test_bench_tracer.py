@@ -93,7 +93,10 @@ def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):
         assert names["cli.main"] == 2
         assert names["batch.encrypt_blocks"] == names["batch.decrypt_blocks"] == 1
         assert names["codec.pad_message"] == names["codec.unpad_message"] == 1
-        assert names["keys.session_key_chain"] >= 1
+        # the 32-block file draws the live head's keys only, each way
+        drawn = [span[6]["keys"] for span in tracer.spans
+                 if span[5] == request and span[1] == "keys.session_key_chain"]
+        assert drawn == [keys.LIVE_BLOCKS] * 2
         for fn in ("encrypt_message", "decrypt_message", "encode_stream", "decode_stream"):
             assert names[f"codec.{fn}"] == 0
     metrics = tracer.metrics(3)

@@ -24,6 +24,20 @@ def random_key(rng):
     return bytes(rng.choices(range(8), k=64))
 
 
+def block_12_master(rng):
+    # A master whose chain first reaches identity form at block 12, not 13:
+    # about 1 in 200 random keys. The chain step keeps the form.
+    while True:
+        key = random_key(rng)
+        chain = list(islice(keys.session_key_chain(key), 12))
+        if is_identity_form(chain[11]) and not is_identity_form(chain[10]):
+            return key
+
+
+# Digits 0 and 4, rows of period 4, not uniform: the transform is the identity.
+IDENTITY_FORM_MASTER = bytes([0, 4, 4, 0] * 16)
+
+
 # --- padding -----------------------------------------------------------------
 
 def test_pad_length_arithmetic():
@@ -250,14 +264,19 @@ def test_message_round_trip_sends_at_most_16_blocks(monkeypatch):
     for op in sent:
         monkeypatch.setattr(codec.batch, f"{op}_blocks", counting(op))
     rng = random.Random(72)
-    msg, key = rng.randbytes(1 << 20), random_key(rng)
-    assert decrypt_message(encrypt_message(msg, key, rng), key) == msg
-    # live: the keys before the first one under which the transform is the
-    # identity, which every chain reaches by block 13
-    chain = islice(keys.session_key_chain(key), 17)
-    live = next(n for n, k in enumerate(chain) if is_identity_form(k))
-    for op, calls in sent.items():
-        assert sum(calls) == live <= 12, (op, calls)
+    masters = [random_key(rng), block_12_master(rng), IDENTITY_FORM_MASTER,
+               bytes([4]) * 64, bytes(64)]
+    # every chain reaches identity form by block LIVE_BLOCKS + 1, so the
+    # rounds run on the first min(blocks, LIVE_BLOCKS) blocks, whatever the key
+    for key in masters:
+        for length in (1 << 20, 5 * 64 - 10):
+            for calls in sent.values():
+                calls.clear()
+            msg = rng.randbytes(length)
+            stream = encrypt_message(msg, key, rng)
+            assert decrypt_message(stream, key) == msg
+            expected = min(len(stream), keys.LIVE_BLOCKS)
+            assert sent == {"encrypt": [expected], "decrypt": [expected]}, (key, length)
 
 
 # --- serialization -----------------------------------------------------------
@@ -300,6 +319,10 @@ def test_decode_base64_errors_carry_position():
         decode_stream(b"AAA", "base64")  # length not a multiple of 4
     with pytest.raises(DecodeError):
         decode_stream(b"A===", "base64")  # too much padding
+    for data, position in ((b"AAAA===", 6), (b"=" * (1 << 20), 2)):
+        with pytest.raises(DecodeError, match="more than two base64 padding") as err:
+            decode_stream(data, "base64")
+        assert err.value.position == position
 
 
 _HEX = b"0123456789abcdefABCDEF"
@@ -418,6 +441,7 @@ def _check_buffer_core(msg, master, seed, encoding):
 def test_buffer_core_matches_list_api_at_edge_lengths(encoding):
     rng = random.Random(73)
     masters = [random_key(rng) for _ in range(2)] + [bytes([4]) * 64, bytes(64)]
+    masters += [block_12_master(rng), IDENTITY_FORM_MASTER]
     for master in masters:
         for length in (0, 61, 64, 767, 768, 1023, 1025):
             _check_buffer_core(rng.randbytes(length), master, rng.random(), encoding)

@@ -57,7 +57,9 @@ def test_read_key_file(tmp_path):
 def test_round_key_shift_zero_is_identity():
     rng = random.Random(20)
     k = random_key(rng)
-    assert keys.derive_round_key(k, 1) == k
+    for key in (k, bytearray(k)):
+        out = keys.derive_round_key(key, 1)
+        assert out == k and type(out) is bytes
 
 
 def test_round_key_worked_vectors():
@@ -175,16 +177,20 @@ def test_chain_collapses_to_zero_by_step_16():
 
 def test_chain_map_powers_mod_8():
     # The chain map on one row is I+S, with (S k)[j] = k[j+1]. Every key
-    # from block 13 on is (I+S)^12 k: 4 times a vector whose rows have
-    # period 4, since (I+S)^12 = 0 mod 4 and (I+S)^12 (I+S^4) = 0 mod 8.
-    # (I+S)^11 is not 0 mod 4, so block 12 is not forced into that form.
+    # from block LIVE_BLOCKS + 1 on is (I+S)^LIVE_BLOCKS k: 4 times a vector
+    # whose rows have period 4. LIVE_BLOCKS is the smallest n with
+    # (I+S)^n = 0 mod 4 and (I+S)^n (I+S^4) = 0 mod 8, so block 12 is not
+    # forced into that form.
     eye = np.eye(8, dtype=np.int64)
     shift = np.roll(eye, 1, axis=1)
-    p11 = np.linalg.matrix_power(eye + shift, 11)
-    p12 = np.linalg.matrix_power(eye + shift, 12)
-    assert not (p12 % 4).any()
-    assert (p11 % 4).any()
-    assert not (p12 @ (eye + np.linalg.matrix_power(shift, 4)) % 8).any()
+    period4 = eye + np.linalg.matrix_power(shift, 4)
+
+    def collapses(n):
+        p = np.linalg.matrix_power(eye + shift, n)
+        return not (p % 4).any() and not (p @ period4 % 8).any()
+
+    assert next(n for n in range(1, 17) if collapses(n)) == keys.LIVE_BLOCKS == 12
+    assert (np.linalg.matrix_power(eye + shift, 11) % 4).any()
 
 
 def _identity_form_key(rng):
@@ -196,13 +202,13 @@ def test_identity_form_keys_leave_every_basis_state_unchanged():
     basis = np.packbits(np.eye(512, dtype=np.uint8), axis=1, bitorder="little")
     rng = random.Random(27)
     for key in [_identity_form_key(rng) for _ in range(20)] + [bytes([4]) * 64]:
-        assert is_identity_form(key) and keys._is_identity_key(key)
+        assert is_identity_form(key)
         assert np.array_equal(batch.encrypt_blocks(basis, key), basis)
         assert np.array_equal(batch.decrypt_blocks(basis, key), basis)
     # a {0, 4} key without period 4 is not the identity
     key = bytearray(bytes([4]) * 64)
     key[0] = 0
-    assert not is_identity_form(bytes(key)) and not keys._is_identity_key(bytes(key))
+    assert not is_identity_form(bytes(key))
     assert not np.array_equal(batch.encrypt_blocks(basis, bytes(key)), basis)
 
 
@@ -211,8 +217,7 @@ def test_chain_keys_have_identity_form_from_block_13():
     first = []
     for _ in range(300):
         chain = list(islice(keys.session_key_chain(random_key(rng)), 20))
-        assert all(is_identity_form(k) for k in chain[12:])
-        assert [keys._is_identity_key(k) for k in chain] == list(map(is_identity_form, chain))
+        assert all(is_identity_form(k) for k in chain[keys.LIVE_BLOCKS:])
         first.append(next(n for n, k in enumerate(chain, 1) if is_identity_form(k)))
     assert set(first) <= {12, 13} and first.count(13) > 250
 

@@ -31,9 +31,9 @@ class LinearMap512:
 
     ``columns`` holds the matrix's columns as gf2 packed rows, shape
     (512, 8): row c is the image of the c-th single-bit basis state, so its
-    bytes are that ciphertext block. ``inverse`` holds the packed rows of the
-    inverse matrix, computed once when the map is built; building raises
-    SingularMapError if there is none.
+    bytes are that ciphertext block. ``inverse`` holds the inverse matrix's
+    columns in the same form, computed once when the map is built; building
+    raises SingularMapError if there is none.
     """
 
     def __init__(self, columns: np.ndarray):
@@ -41,7 +41,7 @@ class LinearMap512:
             raise ValueError(
                 f"expected {STATE_BITS} packed columns of {STATE_BITS} bits, got {columns.shape}")
         self.columns = columns
-        self.inverse = gf2.invert(gf2.transpose(columns, STATE_BITS), STATE_BITS)
+        self.inverse = gf2.invert(columns, STATE_BITS)
 
     def mean_column_weight(self) -> float:
         ones = int(np.unpackbits(self.columns.view(np.uint8)).sum())
@@ -49,25 +49,36 @@ class LinearMap512:
 
 
 def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512:
-    """Rebuild the cipher matrix from 512 chosen-plaintext oracle queries.
+    """Rebuild the cipher matrix from one chosen-plaintext oracle query.
 
-    The oracle must be the block transform under one fixed session key. Each
-    single-bit basis state is queried once; its ciphertext is one matrix
-    column. The inverse is computed here, once, for kpa_decrypt. Raises
-    SingularMapError if the result is not invertible, which for this
-    construction signals a broken implementation.
+    The oracle must be the block transform under one fixed session key,
+    taking whole 64-octet blocks and returning their ciphertexts as one
+    buffer of the same length. It is asked once, for the 512 single-bit
+    basis states in column order; ciphertext c is matrix column c. The
+    inverse is computed here, once, for kpa_decrypt. Raises ValueError if
+    the reply has the wrong length, and SingularMapError if the result is
+    not invertible, which for this construction signals a broken
+    implementation.
     """
-    replies = b"".join(encrypt_oracle((1 << c).to_bytes(64, "little"))
-                       for c in range(STATE_BITS))
+    bit = np.arange(STATE_BITS)
+    basis = np.zeros((STATE_BITS, 64), np.uint8)
+    basis[bit, bit >> 3] = 1 << (bit & 7)
+    replies = encrypt_oracle(basis.tobytes())
+    if len(replies) != basis.size:
+        raise ValueError(f"oracle must answer the {STATE_BITS} basis states with "
+                         f"{basis.size} octets, got {len(replies)}")
     try:
         return LinearMap512(np.frombuffer(replies, "<u8").reshape(STATE_BITS, -1))
     except SingularMapError as err:
         raise SingularMapError("recovered cipher matrix is singular") from err
 
 
-def kpa_decrypt(linear_map: LinearMap512, ciphertext_block: bytes) -> bytes:
-    """Decrypt one block with the recovered matrix alone, no key involved."""
-    return gf2.mat_vec(linear_map.inverse, np.frombuffer(ciphertext_block, "<u8")).tobytes()
+def kpa_decrypt(linear_map: LinearMap512, ciphertext: bytes) -> bytes:
+    """Decrypt k whole blocks with the recovered matrix alone, no key involved."""
+    if len(ciphertext) % 64:
+        raise ValueError(f"ciphertext must be whole 64-octet blocks, got {len(ciphertext)} octets")
+    states = np.frombuffer(ciphertext, "<u8").reshape(-1, STATE_BITS // 64)
+    return gf2.mat_vec(linear_map.inverse, states).tobytes()
 
 
 def linearity_check(

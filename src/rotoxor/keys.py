@@ -110,10 +110,12 @@ def session_key_chain(master: bytes) -> Iterator[bytes]:
 def is_weak_key(key: bytes) -> bool:
     """True when all 64 digits are identical.
 
-    Such keys degenerate fast: the chain maps a uniform key to the uniform
-    key of twice its digit mod 8, which reaches all-zero within three steps,
-    and the all-zero session key makes the whole block transform the
-    identity.
+    Such a master sends the whole message in the clear. A uniform key
+    rotates every octet alike, which commutes with the XOR mix, so the
+    eight rounds add up to a rotation by 8 times the digit and the mix
+    applied eight times, both the identity (the mix has order 4). The
+    chain maps a uniform key to the uniform key of twice its digit mod 8,
+    so every session key is uniform too (all-zero within three steps).
     """
     return len(set(key)) == 1
 

@@ -145,6 +145,17 @@ def array_to_blocks(arr: np.ndarray) -> list[bytes]:
     return [data[i:i + 64] for i in range(0, len(data), 64)]
 
 
+def blockwise(block_fn):
+    """Lift ``block_fn(block) -> bytes`` to a buffer of whole blocks: split, apply, join.
+
+    This is the oracle form analysis.recover_linear_map asks for, with the
+    scalar cipher answering one block at a time.
+    """
+    def buffer_fn(blocks):
+        return b"".join(block_fn(blocks[i:i + 64]) for i in range(0, len(blocks), 64))
+    return buffer_fn
+
+
 def batched(block_fn):
     """Lift ``block_fn(state, key) -> bytes`` to batch.encrypt_blocks' one-key form."""
     def encrypt_fn(states, session_key):

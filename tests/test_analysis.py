@@ -23,6 +23,7 @@ from rotoxor.keys import derive_round_key
 from support import (
     apply_columns,
     batched,
+    blockwise,
     flip_bit,
     hamming_distance,
     identity,
@@ -105,8 +106,8 @@ def test_recover_zero_key_oracle_matches_matrix_power():
     # Zero key: rotations vanish, leaving 8 diffusion passes. Compare the
     # recovered matrix with the independently computed 8th power of the
     # diffusion layer's own recovered matrix.
-    lm = recover_linear_map(lambda b: encrypt_block(b, bytes(64)))
-    xl = recover_linear_map(xor_layer_encrypt)
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, bytes(64))))
+    xl = recover_linear_map(blockwise(xor_layer_encrypt))
     power = identity(512)
     rows = _rows(xl)
     for _ in range(8):
@@ -119,7 +120,7 @@ def test_recover_zero_key_oracle_matches_matrix_power():
 def test_recover_and_apply_matches_cipher():
     rng = random.Random(81)
     key = random_key(rng)
-    lm = recover_linear_map(lambda b: encrypt_block(b, key))
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
     assert gf2.rank(lm.columns, 512) == 512
     assert 0.0 < lm.mean_column_weight() < 1.0
     columns = unpack_rows(lm.columns)
@@ -131,21 +132,44 @@ def test_recover_and_apply_matches_cipher():
 def test_kpa_decrypt_matches_decrypt_block():
     rng = random.Random(82)
     key = random_key(rng)
-    lm = recover_linear_map(lambda b: encrypt_block(b, key))
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
     for _ in range(100):
         ciphertext = rng.randbytes(64)
         assert kpa_decrypt(lm, ciphertext) == decrypt_block(ciphertext, key)
 
 
+def test_kpa_decrypt_of_many_blocks_matches_decrypt_block():
+    rng = random.Random(96)
+    key = random_key(rng)
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
+    scalar = blockwise(lambda c: decrypt_block(c, key))
+    for blocks in (0, 1, 2, 5, 100):
+        ciphertext = rng.randbytes(64 * blocks)
+        assert kpa_decrypt(lm, ciphertext) == scalar(ciphertext)
+
+
+def test_kpa_decrypt_rejects_partial_blocks():
+    lm = recover_linear_map(lambda b: b)
+    for length in (1, 63, 65, 130):
+        with pytest.raises(ValueError, match=f"whole 64-octet blocks, got {length} octets"):
+            kpa_decrypt(lm, bytes(length))
+
+
 def test_kpa_uniform_block_zero_key():
-    lm = recover_linear_map(lambda b: encrypt_block(b, bytes(64)))
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, bytes(64))))
     uniform = bytes([0x5C]) * 64
     assert kpa_decrypt(lm, uniform) == uniform
 
 
 def test_recover_singular_oracle_raises():
     with pytest.raises(SingularMapError, match="recovered cipher matrix is singular"):
-        recover_linear_map(lambda b: bytes(64))
+        recover_linear_map(lambda b: bytes(len(b)))
+
+
+@pytest.mark.parametrize("reply", [0, 64, 32767, 32769, 65536])
+def test_recover_rejects_reply_of_wrong_length(reply):
+    with pytest.raises(ValueError, match=f"with 32768 octets, got {reply}"):
+        recover_linear_map(lambda b: bytes(reply))
 
 
 def test_attack_eliminates_once(monkeypatch):
@@ -157,7 +181,7 @@ def test_attack_eliminates_once(monkeypatch):
     monkeypatch.setattr(gf2, "invert", lambda *a: calls.append("invert") or invert(*a))
     rng = random.Random(84)
     key = random_key(rng)
-    lm = recover_linear_map(lambda b: encrypt_block(b, key))
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
     for _ in range(100):
         kpa_decrypt(lm, rng.randbytes(64))
     assert calls == ["invert"]
@@ -240,7 +264,7 @@ def test_avalanche_sweep_equals_column_weights():
     rng = random.Random(89)
     key = random_key(rng)
     sweep = scalar_avalanche_plaintext_sweep(key, seed=21)
-    lm = recover_linear_map(lambda b: encrypt_block(b, key))
+    lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
     assert sweep.trials == 512
     assert sweep.flipped_ratio_mean == lm.mean_column_weight()
 

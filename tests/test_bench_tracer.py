@@ -49,23 +49,28 @@ def test_tracer_installs_and_restores():
 
 
 def test_tracer_counts_the_attack(capsys):
-    # One recovery (512 basis queries, one transpose and one inversion of
-    # the packed matrix) and one scalar check and one product per trial.
+    # One recovery (one batched query of the 512 basis states and one
+    # inversion of the packed columns), then one batched check and one
+    # product over the 5 trial blocks; the scalar cipher is not called.
     tracer = _tracer()
     tracer.install()
     try:
         assert cli.main(["analyze", "attack", "--trials", "5"]) == 0
     finally:
         tracer.uninstall()
-    assert "oracle_calls=512" in capsys.readouterr().out
+    assert "oracle_calls=512" in capsys.readouterr().out.splitlines()
     names = Counter(span[1] for span in tracer.spans)
-    assert tracer.counts["analysis.oracle_calls"] == 512
-    assert names["cipher.encrypt_block"] == 512
-    assert names["cipher.decrypt_block"] == 5
-    assert names["gf2.transpose"] == 1
+    blocks = {name: [span[6]["blocks"] for span in tracer.spans if span[1] == name]
+              for name in ("batch.encrypt_blocks", "batch.decrypt_blocks")}
+    assert blocks == {"batch.encrypt_blocks": [512], "batch.decrypt_blocks": [5]}
+    # the tracer counts oracle calls, and the attack makes one
+    assert tracer.counts["analysis.oracle_calls"] == 1
+    assert names["cipher.encrypt_block"] == 0
+    assert names["cipher.decrypt_block"] == 0
+    assert names["gf2.transpose"] == 0
     assert names["gf2.invert"] == 1
     assert names["gf2.rank"] == 0
-    assert names["gf2.mat_vec"] == 5
+    assert names["gf2.mat_vec"] == 1
 
 
 def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):

@@ -355,9 +355,52 @@ def test_analyze_attack_respects_trials(capsys):
 
 
 def test_analyze_attack_mismatch_exits_5(capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "kpa_decrypt", lambda lm, c: bytes(64))
+    monkeypatch.setattr(analysis, "kpa_decrypt", lambda lm, c: bytes(len(c)))
     assert run_cli(["analyze", "attack", "--trials", "5", "--seed", "1"]) == 5
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_analyze_attack_checks_trials_in_chunks_and_counts_rows(capsys, monkeypatch):
+    # 2500 trial blocks go through kpa_decrypt 1024 at a time; two flipped
+    # octets in one block of each chunk count as one mismatch per chunk.
+    kpa = analysis.kpa_decrypt
+    sizes = []
+
+    def corrupt_first_block(linear_map, ciphertext):
+        sizes.append(len(ciphertext) // 64)
+        out = bytearray(kpa(linear_map, ciphertext))
+        out[0] ^= 1
+        out[63] ^= 1
+        return bytes(out)
+
+    monkeypatch.setattr(analysis, "kpa_decrypt", corrupt_first_block)
+    assert run_cli(["analyze", "attack", "--trials", "2500", "--seed", "1"]) == 5
+    assert sizes == [1024, 1024, 452]
+    assert "mismatches=3" in capsys.readouterr().out.splitlines()
+
+
+def _attack_peak_rss_mib(trials):
+    # The child's own peak RSS. Linux carries ru_maxrss across exec, so a
+    # child of this (larger) test process would report at least our RSS;
+    # VmHWM belongs to the child's fresh address space alone.
+    code = ("import sys\n"
+            "from rotoxor import cli\n"
+            f"assert cli.main(['analyze', 'attack', '--trials', '{trials}']) == 0\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(hwm.split()[1], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert f"recovered map verified on {trials} blocks" in proc.stdout
+    return int(proc.stderr.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_analyze_attack_memory_does_not_grow_with_trials():
+    # The check runs in fixed chunks, so 200 times the trials costs at most
+    # a few MiB more (20000 blocks are 1.2 MiB of ciphertext alone).
+    small = _attack_peak_rss_mib(100)
+    large = _attack_peak_rss_mib(20000)
+    assert large - small < 4, f"peak RSS {small:.1f} MiB at 100 trials, {large:.1f} MiB at 20000"
 
 
 def test_analyze_singular_map_exits_5(capsys, monkeypatch):

@@ -38,8 +38,9 @@ def _rank(rows, n):
 
 
 def _mat_vec(rows, x, n):
-    # The product of n-bit int rows and an int vector, through packed rows.
-    return unpack_rows([gf2.mat_vec(pack_rows(rows, n), pack_rows([x], n)[0])])[0]
+    # The product of n-bit int rows and an int vector, through packed columns.
+    columns = gf2.transpose(pack_rows(rows, n), n)
+    return unpack_rows([gf2.mat_vec(columns, pack_rows([x], n)[0])])[0]
 
 
 def _random_invertible(rng, n):
@@ -220,7 +221,7 @@ def test_mat_vec_matches_reference(n):
     packed = pack_rows(rows, n)
     for x in (0, 1, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n + 70)):
         expected = mat_vec_reference(rows, x)
-        product = gf2.mat_vec(packed, pack_rows([x], n)[0])
+        product = gf2.mat_vec(gf2.transpose(packed, n), pack_rows([x], n)[0])
         assert product.shape == packed.shape[1:]
         assert unpack_rows([product])[0] == expected
     assert _mat_vec([], 5, 3) == 0
@@ -231,3 +232,29 @@ def test_mat_vec_matches_reference(n):
 def test_mat_vec_matches_reference_property(matrix, x):
     rows, n = matrix
     assert _mat_vec(rows, x, n) == mat_vec_reference(rows, x)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_mat_vec_matches_reference(n):
+    # A (k, w) stack gives one product per row; every bit of x is drawn,
+    # and those at n and above, which pick no column, change nothing.
+    rng = random.Random(18 + n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    columns = gf2.transpose(pack_rows(rows, n), n)
+    words = columns.shape[1]
+    for k in (0, 1, 5, 100):
+        xs = np.frombuffer(rng.randbytes(8 * words * k), "<u8").reshape(k, words)
+        product = gf2.mat_vec(columns, xs)
+        assert product.shape == (k, words)
+        assert unpack_rows(product) == [mat_vec_reference(rows, x) for x in unpack_rows(xs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70), st.integers(1, 70), st.data())
+def test_stacked_mat_vec_matches_reference_property(m, n, data):
+    # An m x n matrix: n packed columns of m bits, applied to k n-bit vectors.
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    columns = gf2.transpose(pack_rows(rows, n), n)
+    product = gf2.mat_vec(columns, pack_rows(xs, n))
+    assert unpack_rows(product) == [mat_vec_reference(rows, x) for x in xs]

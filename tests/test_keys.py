@@ -6,7 +6,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from rotoxor import batch, keys
+from rotoxor import batch, codec, keys
+from rotoxor.cipher import encrypt_block
 from rotoxor.errors import DigitError, LengthError
 from support import is_identity_form
 
@@ -226,6 +227,20 @@ def test_weak_key_predicate():
     for d in range(8):
         assert keys.is_weak_key(bytes([d]) * 64)
     assert not keys.is_weak_key(ROW_01234567)
+
+
+def test_uniform_masters_send_the_whole_message_in_clear():
+    # A uniform key rotates every octet alike, which commutes with the mix,
+    # and the chain keeps keys uniform: every block is the identity.
+    rng = random.Random(32)
+    message = rng.randbytes(1000)
+    for d in range(8):
+        master = bytes([d]) * 64
+        for _ in range(5):
+            state = rng.randbytes(64)
+            assert encrypt_block(state, master) == state
+        padded = codec.pad_message(message, random.Random(d))
+        assert codec._encrypt_buffer(message, master, random.Random(d)) == padded
 
 
 def test_chain_rejects_malformed_keys():

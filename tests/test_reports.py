@@ -14,10 +14,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from rotoxor import analysis, batch, cli
-from rotoxor.cipher import encrypt_block
+from rotoxor import analysis, batch, cli, keys
+from rotoxor.cipher import decrypt_block, encrypt_block
 from rotoxor.keys import session_key_chain
-from support import batched, flip_bit, hamming_distance
+from support import batched, blockwise, flip_bit, hamming_distance
 
 # sha256 of the stdout of `rotoxor analyze <target>` with default options.
 DEFAULT_REPORT_SHA256 = {
@@ -114,3 +114,47 @@ def test_reports_match_scalar_restatement(key, seed, monkeypatch):
     failed = analysis.linearity_check(key, 30, seed)
     assert not failed[0]
     assert failed == scalar_linearity_check(_scaled_encrypt, key, 30, seed)
+
+
+def scalar_attack_report(key, trials, seed):
+    # The attack as it was first written: encrypt_block answers the 512
+    # basis states one at a time, and each trial block is checked alone
+    # against decrypt_block, in the same RNG order.
+    calls = 0
+
+    def oracle(block):
+        nonlocal calls
+        calls += 1
+        return encrypt_block(block, key)
+
+    linear_map = analysis.recover_linear_map(blockwise(oracle))
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(trials):
+        ciphertext = rng.randbytes(64)
+        mismatches += analysis.kpa_decrypt(linear_map, ciphertext) != decrypt_block(ciphertext, key)
+    verdict = "recovered map FAILED verification" if mismatches else \
+        f"recovered map verified on {trials} blocks"
+    return "".join(line + "\n" for line in [
+        f"oracle_calls={calls}",
+        "matrix_nonsingular=yes",
+        f"verified_blocks={trials}",
+        f"mismatches={mismatches}",
+        f"mean_column_weight={linear_map.mean_column_weight()}",
+        f"seed={seed}",
+        verdict,
+    ])
+
+
+# 2500 trials cross the CLI's 1024-block check chunk twice.
+@pytest.mark.parametrize("key_seed", [304, 305])
+@pytest.mark.parametrize("seed,trials", [(0, 2500), (7, 37)])
+def test_attack_matches_scalar_restatement(key_seed, seed, trials, tmp_path):
+    key = bytes(random.Random(key_seed).choices(range(8), k=64))
+    key_file = tmp_path / "key.txt"
+    key_file.write_text(keys.format_key(key) + "\n")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["analyze", "attack", "--key", str(key_file), "--seed", str(seed),
+                         "--trials", str(trials)]) == 0
+    assert buf.getvalue() == scalar_attack_report(key, trials, seed)

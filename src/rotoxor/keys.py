@@ -9,9 +9,11 @@ by rotating the session key's columns.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from operator import add, itemgetter
+from itertools import repeat, takewhile
+from math import comb
 from typing import Iterator
+
+import numpy as np
 
 from .errors import DigitError, LengthError
 
@@ -30,11 +32,17 @@ LIVE_BLOCKS = 12
 # The chain's fixed point, reached by block 17 since (I+S)^16 = 0 mod 8.
 ZERO_KEY = bytes(KEY_DIGITS)
 
-# The row-rotated copy of a key: each digit's right neighbour, wrapping
-# within its row of 8.
-_RIGHT_NEIGHBOURS = itemgetter(*(r + (c + 1) % 8 for r in range(0, KEY_DIGITS, 8)
-                                 for c in range(8)))
-_MOD_BASE = bytes(i % DIGIT_BASE for i in range(256))
+# The chain in closed form. Block n's session key is (I+S)^(n-1) applied to
+# each row of the master, and S^8 = I, so (I+S)^t is the sum over r of
+# c[t][r] S^r with c[t][r] the sum of C(t, i) over i = r (mod 8). Row t-1 of
+# _CHAIN_POWERS holds c[t] mod 8 for t = 1..15; (I+S)^16 = 0 mod 8 ends the
+# table, and from block LIVE_BLOCKS + 1 on the keys already make the block
+# transform the identity (the lemma above). Row r of _ROW_ROTATIONS gathers
+# S^r of a key: cell 8i+j reads digit 8i+(j+r)%8.
+_CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_BASE
+                           for r in range(8)] for t in range(1, 16)], dtype=np.uint8)
+_ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]
+                           for r in range(8)])
 
 
 def parse_master_key(text: str) -> bytes:
@@ -84,27 +92,40 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
 def next_session_key(prev: bytes) -> bytes:
     """Chain step: each digit becomes (itself + right neighbour in its row) mod 8."""
     _check_key(prev)
-    return _step(prev)
+    return _chain_keys(bytes(prev), _CHAIN_POWERS[:1])[0]
 
 
 def session_key_for_block(master: bytes, n: int) -> bytes:
-    """Session key of block ``n`` (1-based): the chain applied n-1 times to the master."""
+    """Session key of block ``n`` (1-based): the chain applied n-1 times to the master.
+
+    Constant time in ``n``: one row of the chain's closed form, or ZERO_KEY
+    from block 17 on.
+    """
     if n < 1:
         raise ValueError(f"block index must be >= 1, got {n}")
-    return next(islice(session_key_chain(master), n - 1, None))
+    key = bytes(master)
+    _check_key(key)
+    if n == 1:
+        return key
+    if n > len(_CHAIN_POWERS) + 1:
+        return ZERO_KEY
+    return _chain_keys(key, _CHAIN_POWERS[n - 2:n - 1])[0]
 
 
 def session_key_chain(master: bytes) -> Iterator[bytes]:
-    """Yield the session keys of blocks 1, 2, 3, ... incrementally.
+    """Yield the session keys of blocks 1, 2, 3, ... .
 
-    The chain is stepped only until it reaches ZERO_KEY, its fixed point.
+    The master is checked and yielded first, so a one-block message costs
+    no other key. Asking for block 2 computes the keys of blocks 2..16 at
+    once, from the closed form; from the first ZERO_KEY on, the chain's
+    fixed point, the generator yields ZERO_KEY itself with no further work.
     """
     key = bytes(master)
     _check_key(key)
-    while key != ZERO_KEY:
-        yield key
-        key = _step(key)
-    yield from repeat(key)
+    yield key
+    if key != ZERO_KEY:
+        yield from takewhile(ZERO_KEY.__ne__, _chain_keys(key, _CHAIN_POWERS))
+    yield from repeat(ZERO_KEY)
 
 
 def is_weak_key(key: bytes) -> bool:
@@ -120,9 +141,11 @@ def is_weak_key(key: bytes) -> bool:
     return len(set(key)) == 1
 
 
-def _step(key: bytes) -> bytes:
-    # next_session_key without the check, for keys valid by construction.
-    return bytes(map(add, key, _RIGHT_NEIGHBOURS(key))).translate(_MOD_BASE)
+def _chain_keys(key: bytes, powers: np.ndarray) -> list[bytes]:
+    # (I+S)^t applied to a valid key, for the power t of each row of
+    # ``powers``. uint8 sums wrap mod 256, a multiple of 8, so & 7 is exact.
+    data = (powers @ np.frombuffer(key, dtype=np.uint8).take(_ROW_ROTATIONS) & 7).tobytes()
+    return [data[i:i + KEY_DIGITS] for i in range(0, len(data), KEY_DIGITS)]
 
 
 def _check_key(key: bytes) -> None:

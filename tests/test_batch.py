@@ -80,7 +80,7 @@ def _scalar(block_fn, states, keys):
     return [block_fn(s, k) for s, k in zip(blocks, array_to_blocks(keys))]
 
 
-@pytest.mark.parametrize("n", [0, 1, 16, 17, 1000])
+@pytest.mark.parametrize("n", [0, 1, 6, 12, 13, 16, 17, 1000])
 def test_both_directions_match_scalar_at_edge_sizes(n):
     rng = random.Random(56 + n)
     states = batch.blocks_to_array([rng.randbytes(64) for _ in range(n)])
@@ -120,6 +120,26 @@ def test_non_contiguous_and_buffer_inputs():
         assert array_to_blocks(out) == expected
         back = batch.decrypt_blocks(wrap(out.tobytes()), wrap(raw_keys))
         assert back.tobytes() == raw_states
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_inputs_are_never_written(n):
+    # Neither direction writes into the caller's states or keys, and the
+    # result shares no memory with them, even at N = 1, where the (64, N)
+    # transpose of the input is already contiguous.
+    rng = random.Random(59 + n)
+    raw_states = rng.randbytes(64 * n)
+    raw_keys = bytes(rng.choices(range(8), k=64 * n))
+    wraps = (bytearray, lambda b: memoryview(bytearray(b)),
+             lambda b: np.frombuffer(bytearray(b), dtype=np.uint8).reshape(-1, 64))
+    for wrap in wraps:
+        for fn in (batch.encrypt_blocks, batch.decrypt_blocks):
+            for raw_key in (raw_keys, raw_keys[:64]):
+                states, keys = wrap(raw_states), wrap(raw_key)
+                out = fn(states, keys)
+                assert bytes(states) == raw_states and bytes(keys) == raw_key
+                out[...] = 0
+                assert bytes(states) == raw_states and bytes(keys) == raw_key
 
 
 def test_zero_key_is_the_identity_both_ways():

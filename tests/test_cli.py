@@ -2,15 +2,23 @@
 
 import contextlib
 import io
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotoxor
 from rotoxor import analysis, cli, codec, keys
+
+# Child interpreters import the package from where this process found it,
+# so the tests also run from a checkout where it is not installed.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(rotoxor.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv):
@@ -219,12 +227,12 @@ def test_stdin_stdout_pipeline(tmp_path):
     enc = subprocess.run(
         [sys.executable, "-m", "rotoxor", "encrypt", "--key", str(key),
          "--in", "-", "--out", "-", "--seed", "2"],
-        input=msg, stdout=subprocess.PIPE, check=True,
+        input=msg, stdout=subprocess.PIPE, check=True, env=_CHILD_ENV,
     )
     dec = subprocess.run(
         [sys.executable, "-m", "rotoxor", "decrypt", "--key", str(key),
          "--in", "-", "--out", "-"],
-        input=enc.stdout, stdout=subprocess.PIPE, check=True,
+        input=enc.stdout, stdout=subprocess.PIPE, check=True, env=_CHILD_ENV,
     )
     assert dec.stdout == msg
 
@@ -253,7 +261,7 @@ def test_bad_stdin_exits_3(tmp_path, encoding, data, message):
     proc = subprocess.run(
         [sys.executable, "-m", "rotoxor", "decrypt", "--key", str(key),
          "--in", "-", "--out", "-", "--encoding", encoding],
-        input=data, capture_output=True,
+        input=data, capture_output=True, env=_CHILD_ENV,
     )
     assert proc.returncode == 3
     assert proc.stdout == b""
@@ -389,7 +397,7 @@ def _attack_peak_rss_mib(trials):
             "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
             "print(hwm.split()[1], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120)
+                          check=True, timeout=120, env=_CHILD_ENV)
     assert f"recovered map verified on {trials} blocks" in proc.stdout
     return int(proc.stderr.split()[-1]) / 1024
 

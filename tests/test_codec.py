@@ -17,25 +17,11 @@ from rotoxor.codec import (
     unpad_message,
 )
 from rotoxor.errors import BlockSizeError, DecodeError, PaddingError
-from support import array_to_blocks, is_identity_form
+from support import IDENTITY_FORM_MASTER, array_to_blocks, block_12_master
 
 
 def random_key(rng):
     return bytes(rng.choices(range(8), k=64))
-
-
-def block_12_master(rng):
-    # A master whose chain first reaches identity form at block 12, not 13:
-    # about 1 in 200 random keys. The chain step keeps the form.
-    while True:
-        key = random_key(rng)
-        chain = list(islice(keys.session_key_chain(key), 12))
-        if is_identity_form(chain[11]) and not is_identity_form(chain[10]):
-            return key
-
-
-# Digits 0 and 4, rows of period 4, not uniform: the transform is the identity.
-IDENTITY_FORM_MASTER = bytes([0, 4, 4, 0] * 16)
 
 
 # --- padding -----------------------------------------------------------------

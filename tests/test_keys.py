@@ -5,11 +5,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotoxor import batch, codec, keys
 from rotoxor.cipher import encrypt_block
 from rotoxor.errors import DigitError, LengthError
-from support import is_identity_form
+from support import (IDENTITY_FORM_MASTER, block_12_master, chain_reference,
+                     chain_step_reference, is_identity_form)
 
 ROW_01234567 = bytes(range(8)) * 8
 
@@ -127,7 +130,15 @@ def test_session_key_for_block():
         keys.session_key_for_block(k, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 20])
+def test_session_key_for_block_is_constant_time_past_the_collapse():
+    # Stepping 10**12 - 1 times would never finish; the closed form answers
+    # at once, since every key from block 17 on is all-zero.
+    rng = random.Random(29)
+    for master in (random_key(rng), ROW_01234567, bytes([7]) * 64):
+        assert keys.session_key_for_block(master, 10**12) == keys.ZERO_KEY
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 10**12])
 def test_session_key_for_block_checks_the_master(n):
     with pytest.raises(ValueError, match="key digits must lie in 0..7"):
         keys.session_key_for_block(bytes([9]) * 64, n)
@@ -136,13 +147,27 @@ def test_session_key_for_block_checks_the_master(n):
 
 
 def test_chain_step_matches_digit_loop():
-    def reference_step(prev):
-        return bytes((prev[i + j] + prev[i + (j + 1) % 8]) % 8
-                     for i in range(0, 64, 8) for j in range(8))
-
     rng = random.Random(26)
     for k in [random_key(rng) for _ in range(50)] + [ROW_01234567, bytes([7]) * 64]:
-        assert keys.next_session_key(k) == reference_step(k)
+        assert keys.next_session_key(k) == chain_step_reference(k)
+
+
+def _with_examples(masters):
+    def decorate(test):
+        for master in masters:
+            test = example(master)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=200, deadline=None)
+@_with_examples([bytes([d]) * 64 for d in range(8)]
+                + [IDENTITY_FORM_MASTER, block_12_master(random.Random(30))])
+@given(st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes))
+def test_chain_matches_step_by_step_reference(master):
+    expected = chain_reference(master, 20)
+    assert list(islice(keys.session_key_chain(master), 20)) == expected
+    assert [keys.session_key_for_block(master, n) for n in range(1, 21)] == expected
 
 
 def test_zero_key_is_chain_fixed_point():
@@ -151,15 +176,20 @@ def test_zero_key_is_chain_fixed_point():
 
 def test_chain_stops_stepping_at_zero_key(monkeypatch):
     # A uniform 4 key doubles to all-zero in one step; zero is a fixed
-    # point, so neither the chain nor the block lookup steps past it.
-    steps = []
-    step = keys._step
-    monkeypatch.setattr(keys, "_step", lambda k: steps.append(k) or step(k))
+    # point, so from there on the chain yields ZERO_KEY itself and computes
+    # nothing more, and the block lookup computes nothing past block 16.
+    calls = []
+    chain_keys = keys._chain_keys
+    monkeypatch.setattr(keys, "_chain_keys", lambda *a: calls.append(a) or chain_keys(*a))
     chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
     assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
-    assert len(steps) == 1
+    assert all(key is keys.ZERO_KEY for key in chain[1:])
+    assert len(calls) == 1
     assert keys.session_key_for_block(bytes([4]) * 64, 20) == keys.ZERO_KEY
-    assert len(steps) == 2
+    assert len(calls) == 1
+    # the all-zero master is the fixed point already
+    assert list(islice(keys.session_key_chain(bytes(64)), 20)) == [keys.ZERO_KEY] * 20
+    assert len(calls) == 1
 
 
 def test_chain_collapses_to_zero_by_step_16():
@@ -176,22 +206,40 @@ def test_chain_collapses_to_zero_by_step_16():
 
 # --- the identity from block 13 on ------------------------------------------
 
+# The chain map on one row is I+S, with (S k)[j] = k[j+1].
+_EYE = np.eye(8, dtype=np.int64)
+_SHIFT = np.roll(_EYE, 1, axis=1)
+
+
+def _chain_map_power(n):
+    return np.linalg.matrix_power(_EYE + _SHIFT, n)
+
+
 def test_chain_map_powers_mod_8():
-    # The chain map on one row is I+S, with (S k)[j] = k[j+1]. Every key
-    # from block LIVE_BLOCKS + 1 on is (I+S)^LIVE_BLOCKS k: 4 times a vector
-    # whose rows have period 4. LIVE_BLOCKS is the smallest n with
-    # (I+S)^n = 0 mod 4 and (I+S)^n (I+S^4) = 0 mod 8, so block 12 is not
-    # forced into that form.
-    eye = np.eye(8, dtype=np.int64)
-    shift = np.roll(eye, 1, axis=1)
-    period4 = eye + np.linalg.matrix_power(shift, 4)
+    # Every key from block LIVE_BLOCKS + 1 on is (I+S)^LIVE_BLOCKS k: 4
+    # times a vector whose rows have period 4. LIVE_BLOCKS is the smallest n
+    # with (I+S)^n = 0 mod 4 and (I+S)^n (I+S^4) = 0 mod 8, so block 12 is
+    # not forced into that form.
+    period4 = _EYE + np.linalg.matrix_power(_SHIFT, 4)
 
     def collapses(n):
-        p = np.linalg.matrix_power(eye + shift, n)
+        p = _chain_map_power(n)
         return not (p % 4).any() and not (p @ period4 % 8).any()
 
     assert next(n for n in range(1, 17) if collapses(n)) == keys.LIVE_BLOCKS == 12
-    assert (np.linalg.matrix_power(eye + shift, 11) % 4).any()
+    assert (_chain_map_power(11) % 4).any()
+
+
+def test_chain_table_rows_are_the_chain_map_powers():
+    # Row n-1 of the table holds (I+S)^n mod 8 as coefficients of S^0..S^7,
+    # for n = 1..15; (I+S)^16 = 0 mod 8, so the table needs no further row.
+    table = keys._CHAIN_POWERS
+    assert table.shape == (15, 8)
+    for n, row in enumerate(table, 1):
+        from_table = sum(int(c) * np.linalg.matrix_power(_SHIFT, r) for r, c in enumerate(row))
+        assert np.array_equal(from_table, _chain_map_power(n) % 8)
+    assert (_chain_map_power(15) % 8).any()
+    assert not (_chain_map_power(16) % 8).any()
 
 
 def _identity_form_key(rng):

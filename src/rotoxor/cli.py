@@ -263,17 +263,21 @@ def _write_bytes(path: str, data: bytes) -> None:
             fh.write(data)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # Name the caller's path, not the temporary file's.
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _stdout_is_tty() -> bool:

@@ -144,7 +144,9 @@ def is_weak_key(key: bytes) -> bool:
 def _chain_keys(key: bytes, powers: np.ndarray) -> list[bytes]:
     # (I+S)^t applied to a valid key, for the power t of each row of
     # ``powers``. uint8 sums wrap mod 256, a multiple of 8, so & 7 is exact.
-    data = (powers @ np.frombuffer(key, dtype=np.uint8).take(_ROW_ROTATIONS) & 7).tobytes()
+    # einsum, since ``@`` on integers skips BLAS and runs a slower loop.
+    rotations = np.frombuffer(key, dtype=np.uint8).take(_ROW_ROTATIONS)
+    data = (np.einsum("tr,rc->tc", powers, rotations) & 7).tobytes()
     return [data[i:i + KEY_DIGITS] for i in range(0, len(data), KEY_DIGITS)]
 
 

@@ -192,6 +192,18 @@ def test_unwritable_output_exits_4(tmp_path):
                     "--out", str(tmp_path / "no" / "dir" / "ct")]) == 4
 
 
+def test_failed_write_names_the_out_path(tmp_path, capsys):
+    # The write goes through a temporary file beside --out; the message
+    # names --out itself, with no temporary-name suffix.
+    out = tmp_path / "missing" / "k"
+    assert run_cli(["keygen", "--seed", "1", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ")
+    assert f"'{out}'" in err
+    assert f"{out}." not in err
+    assert not out.parent.exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli([]) == 1
     assert run_cli(["frobnicate"]) == 1

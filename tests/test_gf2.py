@@ -25,8 +25,10 @@ from support import (
 )
 
 # Word boundaries of the packed rows: [A | I] is 2n bits wide, so n = 63
-# fills two uint64 words, n = 65 spills into a third.
-SIZES = (1, 2, 63, 64, 65, 130, 512)
+# fills two uint64 words, n = 65 spills into a third. Elimination takes
+# 8-column strips: 7, 9, 15 and 17 end on a partial strip, 8 and 16 on a
+# strip edge.
+SIZES = (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130, 512)
 
 
 def _transpose(rows, n):
@@ -197,6 +199,18 @@ def test_singular_names_the_reference_column(n):
     rows = [row & ~(1 << col) for row in _random_invertible(rng, n)]
     with pytest.raises(SingularMapError, match=rf"no pivot in column {col}\)"):
         gf2.invert(pack_rows(rows, n), n)
+    if n > 1:
+        # a column inside a strip, not at its edge, that is the sum of some
+        # earlier columns: the columns before it stay independent
+        col = rng.choice([c for c in range(1, n) if c % 8 not in (0, 7)])
+        sources = sum(1 << c for c in rng.sample(range(col), rng.randint(1, col)))
+        rows = [row & ~(1 << col) | ((row & sources).bit_count() & 1) << col
+                for row in _random_invertible(rng, n)]
+        expected = _invert_or_error(invert_reference, rows, n)
+        assert expected == f"matrix is singular (no pivot in column {col})"
+        with pytest.raises(SingularMapError) as err:
+            gf2.invert(pack_rows(rows, n), n)
+        assert str(err.value) == expected
 
 
 def _square_matrices(n):
@@ -210,6 +224,34 @@ def test_packed_matches_reference_property(matrix, cut):
     rows, n = matrix
     _assert_matches_reference(rows, n)
     assert _rank(rows[:cut], n) == rank_reference(rows[:cut], n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70).flatmap(_square_matrices), st.data())
+def test_bits_at_n_and_above_are_ignored_property(matrix, data):
+    # Junk in the bits of each packed row at n and above, up to the end of
+    # its last word, changes no result.
+    rows, n = matrix
+    width = -(-n // 64) * 64
+    junk = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    clean = pack_rows(rows, n)
+    dirty = pack_rows([row | (extra >> n << n) for row, extra in zip(rows, junk)], width)
+    assert gf2.rank(dirty, n) == gf2.rank(clean, n)
+    np.testing.assert_array_equal(gf2.transpose(dirty, n), gf2.transpose(clean, n))
+    assert _invert_or_error(_packed_invert, dirty, n) == \
+        _invert_or_error(_packed_invert, clean, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_rank_of_more_rows_than_columns_property(n, data):
+    # More rows than columns, so the rank is at most n; a mask shared by
+    # all rows makes rank-deficient draws common.
+    count = data.draw(st.integers(n + 1, 3 * n + 8))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1).map(mask.__and__),
+                              min_size=count, max_size=count))
+    assert gf2.rank(pack_rows(rows, n), n) == rank_reference(rows, n)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -38,7 +38,9 @@ ZERO_KEY = bytes(KEY_DIGITS)
 # _CHAIN_POWERS holds c[t] mod 8 for t = 1..15; (I+S)^16 = 0 mod 8 ends the
 # table, and from block LIVE_BLOCKS + 1 on the keys already make the block
 # transform the identity (the lemma above). Row r of _ROW_ROTATIONS gathers
-# S^r of a key: cell 8i+j reads digit 8i+(j+r)%8.
+# S^r of a key: cell 8i+j reads digit 8i+(j+r)%8. Its second user is batch,
+# which takes rows 1 and 7 (the next and the previous column) as the
+# one-column grid shifts that it folds into its mix tables.
 _CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_BASE
                            for r in range(8)] for t in range(1, 16)], dtype=np.uint8)
 _ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]

@@ -1,6 +1,7 @@
 """The vectorized pipeline must match the scalar one byte for byte."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,33 @@ def test_empty_input_as_bytes():
     for fn in (batch.encrypt_blocks, batch.decrypt_blocks):
         out = fn(b"", b"")
         assert out.dtype == np.uint8 and out.shape == (0, 64)
+
+
+@pytest.mark.parametrize("n_states, n_keys", [(1, 5), (3, 2), (2, 0)])
+def test_key_count_must_be_one_or_one_per_block(n_states, n_keys):
+    states = np.zeros((n_states, 64), dtype=np.uint8)
+    keys = np.zeros((n_keys, 64), dtype=np.uint8)
+    for fn in (batch.encrypt_blocks, batch.decrypt_blocks):
+        with pytest.raises(ValueError, match=f"got {n_keys} session keys for {n_states} blocks"):
+            fn(states, keys)
+
+
+@pytest.mark.parametrize("fn", [batch.encrypt_blocks, batch.decrypt_blocks])
+def test_per_block_keys_peak_memory(fn):
+    # The rounds need the working array, the key shifts and one mix gather:
+    # at most 10 times the states' bytes, whatever N is.
+    n = 4096
+    rng = random.Random(60)
+    states = np.frombuffer(rng.randbytes(64 * n), dtype=np.uint8).reshape(n, 64)
+    keys = _random_keys(rng, n)
+    fn(states[:1], keys[:1])  # first-call set-up stays outside the trace
+    tracemalloc.start()
+    try:
+        fn(states, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 64 * n
 
 
 def test_non_contiguous_and_buffer_inputs():

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotoxor import cipher, gf2
+from rotoxor import batch, cipher, gf2
 from rotoxor.cipher import (
     decrypt_block,
     encrypt_block,
@@ -266,3 +268,57 @@ def test_round_structure_one_round_composition():
     for m in range(8, 0, -1):
         manual = rotate_layer_decrypt(xor_layer_decrypt(manual), derive_round_key(k, m))
     assert manual == s
+
+
+# --- the column-shift identity ------------------------------------------------
+
+def _shift_columns(grid: bytes) -> bytes:
+    # P: every row of the 8x8 grid moves one column right, cyclically.
+    return b"".join(grid[i + 7:i + 8] + grid[i:i + 7] for i in range(0, 64, 8))
+
+
+_digits = st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=64, max_size=64), _digits)
+def test_block_commutes_with_column_shift(state, key):
+    # E(P x, P k) = P E(x, k): round m's key is the session key shifted m-1
+    # columns, the mix commutes with P, and P^8 = I. The batch kernel runs
+    # every round under the session key itself on the strength of this.
+    p_state, p_key = _shift_columns(state), _shift_columns(key)
+    assert encrypt_block(p_state, p_key) == _shift_columns(encrypt_block(state, key))
+    assert decrypt_block(p_state, p_key) == _shift_columns(decrypt_block(state, key))
+
+
+# (plaintext, key, ciphertext), computed with the scalar encrypt_block.
+_KNOWN_ANSWERS = [
+    ("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+     "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
+     "3473441456020650775410401103364535327765212063637601737305620276",
+     "443751a94511de3231d2819b48e6832ea1e1c954d42ca4b71452915320bb5602"
+     "ea6fcf3456231c8baf5db3e8a730569d9afe1f606ecaed8af8442ef72e798672"),
+    ("01" + "00" * 63,
+     "0123456701234567012345670123456701234567012345670123456701234567",
+     "100055ff00ff550000ff00ff00ff00ff00ff5500000055ff00ff0000000000ff"
+     "000000000000000000ff0000000000ff00ff5500000055ff00ff00ff00ff00ff"),
+    ("e00fae1879062279cc20655db43fff31d7f413547ae48795c81383027be58f83"
+     "0ea72cd6d3979ae21340c09fb9c8bff7594c0fe7a3396a4f29a7af53a7011d79",
+     "1463742645403600625635267142657265077422712770201502001610353634",
+     "2f0c5d65eafaff4647379aef6c9618b61e2904468335af06d69bd57fc316342a"
+     "da67a88398ad112ee9e3ff1b19d9082033d3d1d4e42277310d2924dda8029631"),
+]
+
+
+def test_known_answers_scalar_and_batch():
+    plain = [bytes.fromhex(p) for p, _, _ in _KNOWN_ANSWERS]
+    keys = [bytes(int(d) for d in k) for _, k, _ in _KNOWN_ANSWERS]
+    cipher_blocks = [bytes.fromhex(c) for _, _, c in _KNOWN_ANSWERS]
+    for p, k, c in zip(plain, keys, cipher_blocks):
+        assert encrypt_block(p, k) == c
+        assert decrypt_block(c, k) == p
+        assert batch.encrypt_blocks(p, k).tobytes() == c
+        assert batch.decrypt_blocks(c, k).tobytes() == p
+    all_plain, all_keys, all_cipher = (b"".join(x) for x in (plain, keys, cipher_blocks))
+    assert batch.encrypt_blocks(all_plain, all_keys).tobytes() == all_cipher
+    assert batch.decrypt_blocks(all_cipher, all_keys).tobytes() == all_plain

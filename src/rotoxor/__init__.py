@@ -43,11 +43,9 @@ from .keys import (
     derive_round_key,
     format_key,
     is_weak_key,
-    next_session_key,
     parse_master_key,
     read_key_file,
     session_key_chain,
-    session_key_for_block,
 )
 
 __version__ = "0.1.0"
@@ -70,8 +68,6 @@ __all__ = [
     "format_key",
     "read_key_file",
     "derive_round_key",
-    "next_session_key",
-    "session_key_for_block",
     "session_key_chain",
     "is_weak_key",
     "pad_message",

@@ -5,6 +5,18 @@ right-rotates every octet by its key digit, then a diffusion layer that XORs
 every cell with its four toroidal neighbors. Rotations permute bit positions
 and the diffusion layer is linear over GF(2), so the whole fixed-key block
 transform is GF(2)-linear; the analysis module exploits that deliberately.
+
+The transform is also unipotent: E_k^8 = I for every key k. Read each octet
+as an element of R = F2[x]/(x^8 + 1) = F2[x]/(x + 1)^8, bit i the
+coefficient of x^i. Rotating right by r is then multiplication by x^(8-r),
+and the mix, which XORs whole octets, is R-linear, so E_k is a 64x64 matrix
+over R. Modulo x + 1 every rotation is the identity and E_k reduces to the
+mix applied eight times, which is I since the mix has order 4. So every
+entry of E_k - I lies in (x + 1)R, and in characteristic 2
+E_k^8 - I = (E_k - I)^8 = 0. Even digits rotate by powers of x^2, the
+identity modulo (x + 1)^2, so then E_k^4 = I; digits 0 and 4 are the
+identity modulo (x + 1)^4, so then E_k^2 = I. Whoever can encrypt under a
+session key can therefore decrypt under it: D_k = E_k^7.
 """
 
 from __future__ import annotations

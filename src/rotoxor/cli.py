@@ -155,6 +155,10 @@ def _run_encrypt(args) -> int:
         _warn("message ends with '#'; decryption cannot tell it from padding")
     filler = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     ciphertext = codec._encrypt_buffer(plaintext, master, filler)
+    blocks = len(ciphertext) // codec.BLOCK_SIZE
+    if blocks > keys.LIVE_BLOCKS:
+        _warn(f"blocks {keys.LIVE_BLOCKS + 1}..{blocks} ({blocks - keys.LIVE_BLOCKS} of "
+              f"{blocks}) are sent unchanged: key-schedule collapse")
     _write_bytes(args.out, codec._encode_buffer(ciphertext, args.encoding))
     return EXIT_OK
 

@@ -87,7 +87,7 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     # entries, built in len(rows) doubling steps.
     table = np.zeros((1 << len(rows),) + rows.shape[1:], rows.dtype)
     for j, row in enumerate(rows):
-        table[1 << j:2 << j] = table[:1 << j] ^ row
+        np.bitwise_xor(table[:1 << j], row, out=table[1 << j:2 << j])
     return table
 
 

@@ -3,8 +3,9 @@
 A key is 64 base-8 digits arranged row-major on an 8x8 grid, stored as a
 ``bytes`` object of digit values 0..7. The master key doubles as the session
 key of the first block; each later block's session key is chained from the
-previous one, and each of the 8 rounds inside a block uses a sub-key obtained
-by rotating the session key's columns.
+previous one. ``session_key_chain``, the one session-key function, yields
+them in block order. Each of the 8 rounds inside a block uses a sub-key
+obtained by rotating the session key's columns.
 """
 
 from __future__ import annotations
@@ -91,29 +92,6 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
     return b"".join(rows)
 
 
-def next_session_key(prev: bytes) -> bytes:
-    """Chain step: each digit becomes (itself + right neighbour in its row) mod 8."""
-    _check_key(prev)
-    return _chain_keys(bytes(prev), _CHAIN_POWERS[:1])[0]
-
-
-def session_key_for_block(master: bytes, n: int) -> bytes:
-    """Session key of block ``n`` (1-based): the chain applied n-1 times to the master.
-
-    Constant time in ``n``: one row of the chain's closed form, or ZERO_KEY
-    from block 17 on.
-    """
-    if n < 1:
-        raise ValueError(f"block index must be >= 1, got {n}")
-    key = bytes(master)
-    _check_key(key)
-    if n == 1:
-        return key
-    if n > len(_CHAIN_POWERS) + 1:
-        return ZERO_KEY
-    return _chain_keys(key, _CHAIN_POWERS[n - 2:n - 1])[0]
-
-
 def session_key_chain(master: bytes) -> Iterator[bytes]:
     """Yield the session keys of blocks 1, 2, 3, ... .
 
@@ -126,7 +104,7 @@ def session_key_chain(master: bytes) -> Iterator[bytes]:
     _check_key(key)
     yield key
     if key != ZERO_KEY:
-        yield from takewhile(ZERO_KEY.__ne__, _chain_keys(key, _CHAIN_POWERS))
+        yield from takewhile(ZERO_KEY.__ne__, _chain_keys(key))
     yield from repeat(ZERO_KEY)
 
 
@@ -143,12 +121,13 @@ def is_weak_key(key: bytes) -> bool:
     return len(set(key)) == 1
 
 
-def _chain_keys(key: bytes, powers: np.ndarray) -> list[bytes]:
-    # (I+S)^t applied to a valid key, for the power t of each row of
-    # ``powers``. uint8 sums wrap mod 256, a multiple of 8, so & 7 is exact.
-    # einsum, since ``@`` on integers skips BLAS and runs a slower loop.
+def _chain_keys(key: bytes) -> list[bytes]:
+    # The session keys of blocks 2..16 of a valid master: (I+S)^t applied to
+    # it for t = 1..15, one row of _CHAIN_POWERS each. uint8 sums wrap mod
+    # 256, a multiple of 8, so & 7 is exact. einsum, since ``@`` on integers
+    # skips BLAS and runs a slower loop.
     rotations = np.frombuffer(key, dtype=np.uint8).take(_ROW_ROTATIONS)
-    data = (np.einsum("tr,rc->tc", powers, rotations) & 7).tobytes()
+    data = (np.einsum("tr,rc->tc", _CHAIN_POWERS, rotations) & 7).tobytes()
     return [data[i:i + KEY_DIGITS] for i in range(0, len(data), KEY_DIGITS)]
 
 

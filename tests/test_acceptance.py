@@ -9,6 +9,7 @@ import io
 import random
 import time
 from contextlib import redirect_stdout
+from itertools import islice
 
 import pytest
 
@@ -33,7 +34,7 @@ from rotoxor.cipher import (
     xor_layer_encrypt,
 )
 from rotoxor.codec import decrypt_message, encrypt_message
-from rotoxor.keys import derive_round_key, next_session_key
+from rotoxor.keys import derive_round_key, session_key_chain
 from support import (
     batched,
     blockwise,
@@ -125,7 +126,7 @@ def test_layer_inverse_suite():
 @acceptance("worked key-schedule and rotation values")
 def test_worked_values():
     row = bytes(range(8)) * 8
-    assert next_session_key(row) == bytes([1, 3, 5, 7, 1, 3, 5, 7]) * 8
+    assert list(islice(session_key_chain(row), 2))[1] == bytes([1, 3, 5, 7, 1, 3, 5, 7]) * 8
     assert derive_round_key(row, 2) == bytes([7, 0, 1, 2, 3, 4, 5, 6]) * 8
     assert rotate_octet_right(0b10010100, 2) == 0b00100101
 
@@ -155,6 +156,25 @@ def test_linearity_theorem():
         mp.setattr(batch, "encrypt_blocks", batched(broken_encrypt))
         ok, counterexample = linearity_check(key, 100, 5)
     assert not ok and counterexample is not None
+
+
+@acceptance("unipotence: E^8 = I for 1,000 keys, decryption is seven encryptions, "
+            "default analyze key has order 8")
+def test_unipotence():
+    rng = random.Random(0xAC09)
+    states = rng.randbytes(64 * 1000)
+    keys = b"".join(random_key(rng) for _ in range(1000))
+    powers = [states]
+    for _ in range(8):
+        powers.append(batch.encrypt_blocks(powers[-1], keys).tobytes())
+    assert powers[8] == states
+    assert batch.decrypt_blocks(states, keys).tobytes() == powers[7]
+    key = bytes(random.Random(0).choices(range(8), k=64))
+    basis = b"".join((1 << c).to_bytes(64, "little") for c in range(512))
+    powers = [basis]
+    for _ in range(8):
+        powers.append(batch.encrypt_blocks(powers[-1], key).tobytes())
+    assert powers[8] == basis and powers[4] != basis
 
 
 @acceptance("attack: one query of the 512 basis states recovers the map; "

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,3 +323,65 @@ def test_known_answers_scalar_and_batch():
     all_plain, all_keys, all_cipher = (b"".join(x) for x in (plain, keys, cipher_blocks))
     assert batch.encrypt_blocks(all_plain, all_keys).tobytes() == all_cipher
     assert batch.decrypt_blocks(all_cipher, all_keys).tobytes() == all_plain
+
+
+# --- unipotence: E^8 = I for every key ---------------------------------------
+
+def _encrypt_times(states, session_keys, n):
+    for _ in range(n):
+        states = batch.encrypt_blocks(states, session_keys)
+    return np.asarray(states).tobytes()
+
+
+def _keyed_blocks(digits):
+    # 1..8 blocks and one key per block, drawn from the given key digits.
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.binary(min_size=64 * n, max_size=64 * n),
+        st.lists(st.sampled_from(digits), min_size=64 * n, max_size=64 * n).map(bytes)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keyed_blocks(range(8)))
+def test_eight_encryptions_return_the_input(blocks):
+    # Octets are elements of F2[x]/(x+1)^8 and E_k - I has every entry in
+    # (x+1), so (E_k - I)^8 = E_k^8 - I = 0: see the cipher docstring.
+    states, session_keys = blocks
+    for keys in (session_keys[:64], session_keys):
+        assert _encrypt_times(states, keys, 8) == states
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keyed_blocks(range(8)))
+def test_decryption_is_seven_encryptions(blocks):
+    states, session_keys = blocks
+    for keys in (session_keys[:64], session_keys):
+        assert batch.decrypt_blocks(states, keys).tobytes() == _encrypt_times(states, keys, 7)
+
+
+@pytest.mark.parametrize("digits, order", [((0, 2, 4, 6), 4), ((0, 4), 2)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_digit_restricted_keys_have_smaller_order(digits, order, data):
+    # Even digits rotate by powers of x^2, the identity mod (x+1)^2, so
+    # E_k^4 = I; digits 0 and 4 are the identity mod (x+1)^4, so E_k^2 = I.
+    states, session_keys = data.draw(_keyed_blocks(digits))
+    for keys in (session_keys[:64], session_keys):
+        assert _encrypt_times(states, keys, order) == states
+
+
+def test_scalar_decryption_is_seven_encryptions():
+    rng = random.Random(44)
+    s, k = random_state(rng), random_key(rng)
+    powers = [s]
+    for _ in range(8):
+        powers.append(encrypt_block(powers[-1], k))
+    assert powers[8] == s and powers[4] != s
+    assert decrypt_block(s, k) == powers[7]
+
+
+def test_default_analyze_key_has_order_exactly_8():
+    # `rotoxor analyze` with no --key derives its key from Random(seed), seed 0.
+    key = bytes(random.Random(0).choices(range(8), k=64))
+    basis = np.packbits(np.eye(512, dtype=np.uint8), axis=1, bitorder="little").tobytes()
+    assert _encrypt_times(basis, key, 8) == basis
+    assert _encrypt_times(basis, key, 4) != basis

@@ -124,6 +124,27 @@ def test_hash_tail_warning(tmp_path, capsys):
     assert "'#'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size, warning", [
+    (2000, "warning: blocks 13..32 (20 of 32) are sent unchanged: key-schedule collapse\n"),
+    (766, "warning: blocks 13..13 (1 of 13) are sent unchanged: key-schedule collapse\n"),
+    (765, ""),
+])
+def test_key_schedule_leak_warning(tmp_path, capsys, size, warning):
+    # The padded message has ceil((size + 3) / 64) blocks; blocks past
+    # keys.LIVE_BLOCKS leave the rounds unchanged. The warning touches
+    # neither stdout nor the ciphertext.
+    key = write_key(tmp_path)
+    src = tmp_path / "m"
+    message = random.Random(size).randbytes(size).replace(b"#", b"$")
+    src.write_bytes(message)
+    ct = tmp_path / "ct"
+    assert run_cli(["encrypt", "--key", str(key), "--in", str(src), "--out", str(ct),
+                    "--seed", "7"]) == 0
+    assert capsys.readouterr() == ("", warning)
+    filler = random.Random(7)
+    assert ct.read_bytes() == codec._encrypt_buffer(message, keys.read_key_file(key), filler)
+
+
 def test_wrong_key_decrypt_short_file_exits_3(tmp_path, capsys):
     key = write_key(tmp_path, seed=1, name="k1.txt")
     other = write_key(tmp_path, seed=2, name="k2.txt")

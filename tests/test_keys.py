@@ -105,51 +105,42 @@ def test_round_key_rejects_bad_round():
 
 
 def test_chain_worked_vectors():
-    assert keys.next_session_key(ROW_01234567) == bytes([1, 3, 5, 7, 1, 3, 5, 7]) * 8
-    assert keys.next_session_key(bytes([7]) * 64) == bytes([6]) * 64
-    assert keys.next_session_key(bytes(64)) == bytes(64)
+    # The chain's second key is block 2's: one step from the master.
+    for master, second in ((ROW_01234567, bytes([1, 3, 5, 7, 1, 3, 5, 7]) * 8),
+                           (bytes([7]) * 64, bytes([6]) * 64),
+                           (bytes(64), bytes(64))):
+        assert list(islice(keys.session_key_chain(master), 2))[1] == second
 
 
 def test_chain_digits_stay_in_range():
     rng = random.Random(23)
-    k = random_key(rng)
-    for _ in range(50):
-        k = keys.next_session_key(k)
-        assert len(k) == 64 and max(k) <= 7
+    for master in [random_key(rng) for _ in range(5)] + [bytes([7]) * 64]:
+        for k in islice(keys.session_key_chain(master), 50):
+            assert type(k) is bytes and len(k) == 64 and max(k) <= 7
 
 
 def test_session_key_for_block():
-    rng = random.Random(24)
-    k = random_key(rng)
-    assert keys.session_key_for_block(k, 1) == k
-    assert keys.session_key_for_block(k, 2) == keys.next_session_key(k)
-    chain = list(islice(keys.session_key_chain(k), 20))
-    for n in range(1, 21):
-        assert keys.session_key_for_block(k, n) == chain[n - 1]
-    with pytest.raises(ValueError):
-        keys.session_key_for_block(k, 0)
-
-
-def test_session_key_for_block_is_constant_time_past_the_collapse():
-    # Stepping 10**12 - 1 times would never finish; the closed form answers
-    # at once, since every key from block 17 on is all-zero.
-    rng = random.Random(29)
-    for master in (random_key(rng), ROW_01234567, bytes([7]) * 64):
-        assert keys.session_key_for_block(master, 10**12) == keys.ZERO_KEY
+    # Block 1's session key is the master itself, as bytes whatever
+    # bytes-like it came as; block n's is the chain's n-th key.
+    k = random_key(random.Random(24))
+    first = next(keys.session_key_chain(bytearray(k)))
+    assert first == k and type(first) is bytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 10**12])
 def test_session_key_for_block_checks_the_master(n):
+    # Asking for the keys up to block n checks the master before any key
+    # comes out, however far n lies.
     with pytest.raises(ValueError, match="key digits must lie in 0..7"):
-        keys.session_key_for_block(bytes([9]) * 64, n)
+        list(islice(keys.session_key_chain(bytes([9]) * 64), n))
     with pytest.raises(ValueError, match="exactly 64 digits"):
-        keys.session_key_for_block(bytes(63), n)
+        list(islice(keys.session_key_chain(bytes(63)), n))
 
 
 def test_chain_step_matches_digit_loop():
     rng = random.Random(26)
     for k in [random_key(rng) for _ in range(50)] + [ROW_01234567, bytes([7]) * 64]:
-        assert keys.next_session_key(k) == chain_step_reference(k)
+        assert list(islice(keys.session_key_chain(k), 2))[1] == chain_step_reference(k)
 
 
 def _with_examples(masters):
@@ -167,25 +158,27 @@ def _with_examples(masters):
 def test_chain_matches_step_by_step_reference(master):
     expected = chain_reference(master, 20)
     assert list(islice(keys.session_key_chain(master), 20)) == expected
-    assert [keys.session_key_for_block(master, n) for n in range(1, 21)] == expected
 
 
 def test_zero_key_is_chain_fixed_point():
-    assert keys.session_key_for_block(bytes(64), 17) == bytes(64)
+    # One step maps ZERO_KEY to itself, so once the chain reaches it, by
+    # block 17 at the latest, every later key is ZERO_KEY.
+    assert chain_step_reference(keys.ZERO_KEY) == keys.ZERO_KEY
+    rng = random.Random(29)
+    for master in (random_key(rng), ROW_01234567, bytes([7]) * 64):
+        assert list(islice(keys.session_key_chain(master), 16, 40)) == [keys.ZERO_KEY] * 24
 
 
 def test_chain_stops_stepping_at_zero_key(monkeypatch):
     # A uniform 4 key doubles to all-zero in one step; zero is a fixed
     # point, so from there on the chain yields ZERO_KEY itself and computes
-    # nothing more, and the block lookup computes nothing past block 16.
+    # nothing more.
     calls = []
     chain_keys = keys._chain_keys
     monkeypatch.setattr(keys, "_chain_keys", lambda *a: calls.append(a) or chain_keys(*a))
     chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
     assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
     assert all(key is keys.ZERO_KEY for key in chain[1:])
-    assert len(calls) == 1
-    assert keys.session_key_for_block(bytes([4]) * 64, 20) == keys.ZERO_KEY
     assert len(calls) == 1
     # the all-zero master is the fixed point already
     assert list(islice(keys.session_key_chain(bytes(64)), 20)) == [keys.ZERO_KEY] * 20
@@ -292,7 +285,10 @@ def test_uniform_masters_send_the_whole_message_in_clear():
 
 
 def test_chain_rejects_malformed_keys():
-    with pytest.raises(ValueError):
-        keys.next_session_key(bytes(63))
-    with pytest.raises(ValueError):
-        keys.next_session_key(bytes([8]) * 64)
+    # The chain checks the master when the first key is drawn.
+    for master, message in ((bytes(63), "key must have exactly 64 digits, got 63"),
+                            (bytes([8]) * 64, "key digits must lie in 0..7")):
+        chain = keys.session_key_chain(master)
+        with pytest.raises(ValueError) as err:
+            next(chain)
+        assert str(err.value) == message

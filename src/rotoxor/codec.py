@@ -93,7 +93,7 @@ def decrypt_message(stream: Sequence[bytes], master: bytes) -> bytes:
     if set(map(len, blocks)) - {BLOCK_SIZE}:
         idx, size = next((i, n) for i, n in enumerate(map(len, blocks)) if n != BLOCK_SIZE)
         raise BlockSizeError(f"block {idx} has {size} octets, expected {BLOCK_SIZE}")
-    return _decrypt_buffer(b"".join(blocks), master)
+    return bytes(_decrypt_buffer(b"".join(blocks), master))
 
 
 def encode_stream(stream: Sequence[bytes], encoding: str = "raw") -> bytes:
@@ -120,14 +120,18 @@ def _encrypt_buffer(message, master: bytes, filler_source) -> bytearray:
     return padded
 
 
-def _decrypt_buffer(data, master: bytes) -> bytes:
-    # Inverse of _encrypt_buffer; ``data`` is whole 64-octet blocks.
+def _decrypt_buffer(data, master: bytes) -> memoryview:
+    # Inverse of _encrypt_buffer; ``data`` is whole 64-octet blocks. Returns
+    # a view of the one decrypted copy: the sentinel begins at most two
+    # octets before the final block, so unpadding reads the last two blocks.
     if not data:
         raise BlockSizeError("ciphertext stream is empty")
     head = min(len(data) // BLOCK_SIZE, LIVE_BLOCKS) * BLOCK_SIZE
     out = bytearray(data)
     out[:head] = batch.decrypt_blocks(out[:head], _head_keys(master, head)).tobytes()
-    return unpad_message(out)
+    start = max(0, len(out) - 2 * BLOCK_SIZE)
+    cut = start + len(unpad_message(memoryview(out)[start:]))
+    return memoryview(out)[:cut]
 
 
 def _encode_buffer(data, encoding: str) -> bytes | bytearray:
@@ -168,25 +172,41 @@ def _split_blocks(data) -> list[bytes]:
 
 
 def _decode_hex(data: bytes) -> bytes:
+    # unhexlify accepts exactly even-length [0-9a-fA-F]; scan only on failure.
+    try:
+        return binascii.unhexlify(data)
+    except binascii.Error:
+        pass
     pos = _first_outside(data, _HEX_DIGITS)
     if pos is not None:
         raise DecodeError("invalid hex digit", pos)
-    if len(data) % 2:
-        raise DecodeError("odd-length hex input", len(data))
-    return binascii.unhexlify(data)
+    raise DecodeError("odd-length hex input", len(data))
 
 
 def _decode_base64(data: bytes) -> bytes:
-    end = len(data.rstrip(b"="))
-    if len(data) - end > 2:
-        raise DecodeError("more than two base64 padding characters", end + 2)
+    tail = data[-3:]
+    pads = len(tail) - len(tail.rstrip(b"="))
+    if pads > 2:
+        raise DecodeError("more than two base64 padding characters",
+                          len(data.rstrip(b"=")) + 2)
+    end = len(data) - pads
+    if len(data) % 4 == 0:
+        # Non-strict decoding skips octets outside the alphabet, stops at an
+        # interior '=', and reads 6 bits per alphabet octet. A fault before
+        # ``end`` leaves at most end - 1 alphabet octets, too few for this
+        # length, so a full-length result is strictly valid base64.
+        try:
+            out = binascii.a2b_base64(data)
+        except binascii.Error:
+            pass
+        else:
+            if len(out) == len(data) // 4 * 3 - pads:
+                return out
+        # Otherwise there is a fault before ``end``; the scan below finds it.
     pos = _first_outside(data, _BASE64_ALPHABET)
     if pos is not None and pos < end:  # from end on there is only '=' padding
         raise DecodeError("invalid base64 character", pos)
-    if len(data) % 4:
-        raise DecodeError("base64 length is not a multiple of 4", len(data))
-    # The checks above leave only strictly valid base64.
-    return binascii.a2b_base64(data)
+    raise DecodeError("base64 length is not a multiple of 4", len(data))
 
 
 def _first_outside(data: bytes, alphabet: bytes) -> int | None:

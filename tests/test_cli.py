@@ -444,6 +444,37 @@ def test_analyze_attack_memory_does_not_grow_with_trials():
     assert large - small < 4, f"peak RSS {small:.1f} MiB at 100 trials, {large:.1f} MiB at 20000"
 
 
+def _decrypt_peak_rss_mib(tmp_path, size):
+    # A raw `rotoxor decrypt` of a size-octet message, as the child's VmHWM
+    # (see _attack_peak_rss_mib).
+    key = write_key(tmp_path)
+    ct, out = tmp_path / f"{size}.ct", tmp_path / f"{size}.out"
+    master = keys.read_key_file(key)
+    ct.write_bytes(codec._encrypt_buffer(bytes(size), master, random.Random(0)))
+    code = ("import sys\n"
+            "from rotoxor import cli\n"
+            f"assert cli.main(['decrypt', '--key', {str(key)!r}, '--in', {str(ct)!r},"
+            f" '--out', {str(out)!r}, '--encoding', 'raw']) == 0\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(hwm.split()[1], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=_CHILD_ENV)
+    assert out.stat().st_size == size
+    ct.unlink()
+    out.unlink()
+    return int(proc.stderr.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_raw_decrypt_holds_two_copies_of_the_file(tmp_path):
+    # The file as read and the one decrypted copy: 16 MiB more input costs
+    # about 32 MiB more peak. A third whole copy (the unpadded plaintext as
+    # new bytes) would add about 48 MiB.
+    small = _decrypt_peak_rss_mib(tmp_path, 1 << 20)
+    large = _decrypt_peak_rss_mib(tmp_path, 17 << 20)
+    assert large - small < 40, f"peak RSS {small:.1f} MiB at 1 MiB, {large:.1f} MiB at 17 MiB"
+
+
 def test_analyze_singular_map_exits_5(capsys, monkeypatch):
     def boom(oracle):
         from rotoxor.errors import SingularMapError

@@ -1,10 +1,11 @@
 """Sentinel padding, message encryption orchestration, and serialization."""
 
+import binascii
 import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotoxor import batch, codec, keys
@@ -380,6 +381,58 @@ def test_decode_stream_fails_only_with_codec_errors(encoding, data):
     assert decode_stream(encode_stream(blocks, encoding), encoding) == blocks
 
 
+@st.composite
+def _faulted(draw, encoding):
+    # A valid encoding of 0-3 blocks with one or two faults, each an octet
+    # replaced by any byte, an '=' inserted anywhere, or 1-3 characters dropped.
+    data = draw(_encoded(encoding))
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(("replace", "insert", "drop")))
+        if fault == "insert" or not data:
+            pos = draw(st.integers(0, len(data)))
+            data = data[:pos] + b"=" + data[pos:]
+        elif fault == "replace":
+            pos = draw(st.integers(0, len(data) - 1))
+            octet = draw(st.one_of(st.sampled_from(b"=\n\x80\xff"), st.integers(0, 255)))
+            data = data[:pos] + bytes([octet]) + data[pos + 1:]
+        else:
+            count = draw(st.integers(1, min(3, len(data))))
+            pos = draw(st.integers(0, len(data) - count))
+            data = data[:pos] + data[pos + count:]
+    return data
+
+
+_BINASCII_DECODE = {"hex": binascii.unhexlify, "base64": binascii.a2b_base64}
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(("hex", "base64")).flatmap(
+    lambda encoding: st.tuples(st.just(encoding), _faulted(encoding))))
+@example(case=("base64", b"Y3SA="))
+@example(case=("base64", b"yZPu=="))
+@example(case=("base64", b"AA==AAAA"))
+@example(case=("base64", b"AAAA\n"))
+@example(case=("base64", b"=\xff=="))  # decodes to one octet fewer than its length allows
+@example(case=("hex", b"0g"))
+@example(case=("hex", b"abc"))
+def test_decode_of_faulted_encoding_matches_reference(case):
+    # Decoding validates in the decoding pass: faults anywhere must still
+    # give the reference position, and fault-free input what binascii gives.
+    encoding, data = case
+    expected = _reference_error_position(data, encoding)
+    if expected is not None:
+        with pytest.raises(DecodeError) as err:
+            codec._decode_buffer(data, encoding)
+        assert err.value.position == expected
+        return
+    decoded = _BINASCII_DECODE[encoding](data)
+    if len(decoded) % 64:
+        with pytest.raises(BlockSizeError):
+            codec._decode_buffer(data, encoding)
+    else:
+        assert codec._decode_buffer(data, encoding) == decoded
+
+
 def _failure(fn, *args):
     # (type, message) of the codec error that fn raises, or None.
     try:
@@ -419,7 +472,7 @@ def _check_buffer_core(msg, master, seed, encoding):
     decoded = codec._decode_buffer(data, encoding)
     assert decoded == b"".join(blocks)
     plain = codec._decrypt_buffer(decoded, master)
-    assert type(plain) is bytes
+    assert bytes(plain) == msg
     assert plain == decrypt_message(blocks, master) == msg
 
 
@@ -439,6 +492,20 @@ def test_buffer_core_matches_list_api_at_edge_lengths(encoding):
        length=st.integers(0, 2200), seed=st.integers(0, 2**32 - 1))
 def test_buffer_core_matches_list_api(encoding, master, length, seed):
     _check_buffer_core(random.Random(seed).randbytes(length), master, seed, encoding)
+
+
+@pytest.mark.parametrize("form", (bytes, bytearray, memoryview))
+def test_public_decrypt_and_unpad_return_bytes(form):
+    # The README contract: the library's edges return bytes whatever
+    # bytes-like they are given; only the CLI's buffer path returns a view.
+    key = bytes(range(8)) * 8
+    msg = b"attack#at#dawn" * 70
+    stream = encrypt_message(msg, key, random.Random(5))
+    plain = decrypt_message([form(block) for block in stream], key)
+    assert type(plain) is bytes and plain == msg
+    padded = bytes(pad_message(msg, random.Random(5)))
+    out = unpad_message(form(padded))
+    assert type(out) is bytes and out == msg
 
 
 def test_buffer_decrypt_rejects_empty_data():

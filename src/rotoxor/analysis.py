@@ -13,8 +13,8 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
-from itertools import islice
-from typing import Callable
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,12 @@ from .errors import SingularMapError
 from .keys import _check_key, session_key_chain
 
 STATE_BITS = 512
+# Every report, and the attack's check in cli, runs its trials this many at
+# a time, so memory is bounded whatever the trial count; the default 1000
+# trials fit in one chunk.
+_TRIAL_CHUNK = 1024
+# _POPCOUNT[b] is the number of set bits in octet b.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint16)
 
 
 class LinearMap512:
@@ -44,7 +50,7 @@ class LinearMap512:
         self.inverse = gf2.invert(columns, STATE_BITS)
 
     def mean_column_weight(self) -> float:
-        ones = int(np.unpackbits(self.columns.view(np.uint8)).sum())
+        ones = int(_POPCOUNT[self.columns.view(np.uint8)].sum())
         return ones / (STATE_BITS * STATE_BITS)
 
 
@@ -88,27 +94,29 @@ def linearity_check(
 
     Returns (True, None) when every trial holds, else (False, (x, y)) with
     the first failing pair. E is batch.encrypt_blocks, looked up when the
-    check runs.
+    check runs. Every x is drawn from Random(seed) before every y; a second
+    Random(seed) skips the x draws, so both streams run chunk by chunk.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_key(bytes(session_key))
     encrypt = batch.encrypt_blocks
-    rng = random.Random(seed)
     zero = bytes(64)
     if encrypt(batch.blocks_to_array([zero]), session_key).any():
         return False, (zero, zero)
-    xs = [rng.randbytes(64) for _ in range(trials)]
-    ys = [rng.randbytes(64) for _ in range(trials)]
-    ax = batch.blocks_to_array(xs)
-    ay = batch.blocks_to_array(ys)
-    ex = encrypt(ax, session_key)
-    ey = encrypt(ay, session_key)
-    exy = encrypt(ax ^ ay, session_key)
-    bad = (exy != (ex ^ ey)).any(axis=1).nonzero()[0]
-    if bad.size:
-        t = int(bad[0])
-        return False, (xs[t], ys[t])
+    x_rng, y_rng = random.Random(seed), random.Random(seed)
+    for n in _chunk_sizes(trials):
+        # 512 bits advance the stream exactly as randbytes(64) does.
+        y_rng.getrandbits(STATE_BITS * n)
+    for n in _chunk_sizes(trials):
+        xs, ys = x_rng.randbytes(64 * n), y_rng.randbytes(64 * n)
+        ax = np.frombuffer(xs, np.uint8).reshape(n, 64)
+        ay = np.frombuffer(ys, np.uint8).reshape(n, 64)
+        exy = encrypt(ax ^ ay, session_key)
+        bad = (exy != (encrypt(ax, session_key) ^ encrypt(ay, session_key))).any(axis=1)
+        if bad.any():
+            t = 64 * int(bad.argmax())
+            return False, (xs[t:t + 64], ys[t:t + 64])
     return True, None
 
 
@@ -136,32 +144,43 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
     exactly the column-weight distribution under random position choice.
     """
     _check_key(bytes(session_key))
-    states, positions = [], []
-    for sub in _trial_seeds(seed, trials):
-        rng = random.Random(sub)
-        states.append(rng.randbytes(64))
-        positions.append(rng.randrange(STATE_BITS))
-    base = batch.blocks_to_array(states)
-    distances = _output_distances(
-        base, session_key, _flip_bits(base, positions), session_key)
-    return _avalanche_report(distances, seed, "plaintext-sample")
+    rng = random.Random()
+    reseed, randbytes, randrange = _seeder(rng), rng.randbytes, rng.randrange
+    histogram = np.zeros(STATE_BITS + 1, np.int64)
+    for subs in _trial_seeds(seed, trials):
+        states, positions = bytearray(), []
+        for sub in subs:
+            reseed(sub)
+            states += randbytes(64)
+            positions.append(randrange(STATE_BITS))
+        base = np.frombuffer(states, np.uint8).reshape(-1, 64)
+        histogram += _distance_histogram(
+            base, session_key, _flip_bits(base, positions), session_key)
+    return _avalanche_report(histogram, seed, "plaintext-sample")
 
 
 def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
     """Sample key sensitivity: change one key digit to a different value per trial."""
     _check_key(bytes(master))
-    states, mutated = [], []
-    for sub in _trial_seeds(seed, trials):
-        rng = random.Random(sub)
-        states.append(rng.randbytes(64))
-        position = rng.randrange(64)
-        replacement = rng.choice([d for d in range(8) if d != master[position]])
-        key = bytearray(master)
-        key[position] = replacement
-        mutated.append(bytes(key))
-    base = batch.blocks_to_array(states)
-    distances = _output_distances(base, master, base, batch.blocks_to_array(mutated))
-    return _avalanche_report(distances, seed, "key-sample")
+    # choice() draws from others[p], the seven digits other than the master's at p.
+    others = [[d for d in range(8) if d != digit] for digit in master]
+    master_row = np.frombuffer(bytes(master), np.uint8)
+    rng = random.Random()
+    reseed, randbytes, randrange, choice = _seeder(rng), rng.randbytes, rng.randrange, rng.choice
+    histogram = np.zeros(STATE_BITS + 1, np.int64)
+    for subs in _trial_seeds(seed, trials):
+        states, positions, replacements = bytearray(), [], []
+        for sub in subs:
+            reseed(sub)
+            states += randbytes(64)
+            position = randrange(64)
+            positions.append(position)
+            replacements.append(choice(others[position]))
+        base = np.frombuffer(states, np.uint8).reshape(-1, 64)
+        mutated = np.tile(master_row, (len(base), 1))
+        mutated[np.arange(len(base)), positions] = replacements
+        histogram += _distance_histogram(base, master, base, mutated)
+    return _avalanche_report(histogram, seed, "key-sample")
 
 
 @dataclass
@@ -308,13 +327,29 @@ def keyspace_report() -> str:
     return "\n".join(lines)
 
 
-def _trial_seeds(seed: int, trials: int) -> list[int]:
+def _chunk_sizes(trials: int) -> Iterator[int]:
+    # The trial count split into _TRIAL_CHUNK-sized runs, the last one short.
+    for done in range(0, trials, _TRIAL_CHUNK):
+        yield min(_TRIAL_CHUNK, trials - done)
+
+
+def _trial_seeds(seed: int, trials: int) -> Iterator[list[int]]:
     # Every trial gets its own sub-seed so trial order (or parallel
-    # execution) cannot change the report.
+    # execution) cannot change the report. Each chunk's sub-seeds are one
+    # getrandbits(64 * n) from the master, whose little-endian 64-bit words
+    # are the values of n getrandbits(64) calls.
     if trials < 1:
         raise ValueError("trials must be >= 1")
     master = random.Random(seed)
-    return [master.getrandbits(64) for _ in range(trials)]
+    for n in _chunk_sizes(trials):
+        yield np.frombuffer(master.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8").tolist()
+
+
+def _seeder(rng: random.Random) -> Callable[[int], None]:
+    # For an int, rng.seed(sub) is this C seed plus clearing the cached
+    # gauss() value, which no report draws: the same state as Random(sub),
+    # without a Python frame per trial.
+    return super(random.Random, rng).seed
 
 
 def _flip_bits(states: np.ndarray, positions) -> np.ndarray:
@@ -326,19 +361,26 @@ def _flip_bits(states: np.ndarray, positions) -> np.ndarray:
     return out
 
 
-def _output_distances(states_a, keys_a, states_b, keys_b) -> list[int]:
-    # Per block, the output bits that differ between the two encryptions.
+def _distance_histogram(states_a, keys_a, states_b, keys_b) -> np.ndarray:
+    # Bin d counts the blocks whose two encryptions differ in d bits.
     diff = batch.encrypt_blocks(states_a, keys_a) ^ batch.encrypt_blocks(states_b, keys_b)
-    return np.unpackbits(diff, axis=1).sum(axis=1).tolist()
+    distances = _POPCOUNT[diff].sum(axis=1, dtype=np.intp)
+    return np.bincount(distances, minlength=STATE_BITS + 1)
 
 
-def _avalanche_report(distances: list[int], seed: int, mode: str) -> AvalancheReport:
-    ratios = [d / STATE_BITS for d in distances]
+def _avalanche_report(histogram: np.ndarray, seed: int, mode: str) -> AvalancheReport:
+    # The statistics of the distances the histogram counts, as computed on
+    # the list of them: the same int/int mean, and pstdev over the same
+    # multiset of ratios, which it sums exactly whatever their order.
+    counts = histogram.tolist()
+    trials = sum(counts)
+    present = [d for d, c in enumerate(counts) if c]
+    ratios = chain.from_iterable(repeat(d / STATE_BITS, counts[d]) for d in present)
     return AvalancheReport(
-        trials=len(distances),
-        flipped_ratio_mean=sum(distances) / (STATE_BITS * len(distances)),
-        flipped_ratio_min=min(ratios),
-        flipped_ratio_max=max(ratios),
+        trials=trials,
+        flipped_ratio_mean=sum(d * counts[d] for d in present) / (STATE_BITS * trials),
+        flipped_ratio_min=present[0] / STATE_BITS,
+        flipped_ratio_max=present[-1] / STATE_BITS,
         flipped_ratio_stddev=statistics.pstdev(ratios),
         seed=seed,
         mode=mode,

@@ -46,9 +46,6 @@ ANALYZE_TARGETS = (
 # repeated-block counts block positions, so their natural scales differ.
 _TRIAL_DEFAULTS = {"attack": 100, "repeated-block": 8}
 _TRIAL_FALLBACK = 1000
-# The attack checks its trial blocks this many at a time, so its memory stays
-# bounded whatever --trials is.
-_CHECK_BLOCKS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,6 +152,9 @@ def _run_encrypt(args) -> int:
         _warn("message ends with '#'; decryption cannot tell it from padding")
     filler = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     ciphertext = codec._encrypt_buffer(plaintext, master, filler)
+    # The padded copy holds the message now; dropping it here keeps the
+    # message out of the encode step's peak.
+    del plaintext
     blocks = len(ciphertext) // codec.BLOCK_SIZE
     if blocks > keys.LIVE_BLOCKS:
         _warn(f"blocks {keys.LIVE_BLOCKS + 1}..{blocks} ({blocks - keys.LIVE_BLOCKS} of "
@@ -212,8 +212,10 @@ def _run_attack(key: bytes, trials: int, seed: int) -> int:
     linear_map = analysis.recover_linear_map(oracle)
     rng = random.Random(seed)
     mismatches = 0
-    for done in range(0, trials, _CHECK_BLOCKS):
-        ciphertext = b"".join(rng.randbytes(64) for _ in range(min(_CHECK_BLOCKS, trials - done)))
+    # The trial blocks are checked one chunk at a time, so memory stays
+    # bounded whatever --trials is.
+    for n in analysis._chunk_sizes(trials):
+        ciphertext = rng.randbytes(64 * n)
         recovered = np.frombuffer(analysis.kpa_decrypt(linear_map, ciphertext), np.uint8)
         expected = batch.decrypt_blocks(ciphertext, key)
         mismatches += int((recovered.reshape(-1, 64) != expected).any(axis=1).sum())

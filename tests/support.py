@@ -7,6 +7,7 @@ forms.
 """
 
 import random
+import statistics
 
 import numpy as np
 
@@ -132,7 +133,21 @@ def scalar_avalanche_plaintext_sweep(key: bytes, seed: int):
     encrypted = encrypt_block(base, key)
     distances = [hamming_distance(encrypted, encrypt_block(flip_bit(base, p), key))
                  for p in range(512)]
-    return analysis._avalanche_report(distances, seed, "plaintext-sweep")
+    return avalanche_report_reference(distances, seed, "plaintext-sweep")
+
+
+def avalanche_report_reference(distances: list[int], seed: int, mode: str):
+    """The report's statistics computed on the list of distances with ``statistics``."""
+    ratios = [d / 512 for d in distances]
+    return analysis.AvalancheReport(
+        trials=len(distances),
+        flipped_ratio_mean=sum(distances) / (512 * len(distances)),
+        flipped_ratio_min=min(ratios),
+        flipped_ratio_max=max(ratios),
+        flipped_ratio_stddev=statistics.pstdev(ratios),
+        seed=seed,
+        mode=mode,
+    )
 
 
 def is_identity_form(key: bytes) -> bool:

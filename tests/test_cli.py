@@ -420,19 +420,25 @@ def test_analyze_attack_checks_trials_in_chunks_and_counts_rows(capsys, monkeypa
     assert "mismatches=3" in capsys.readouterr().out.splitlines()
 
 
-def _attack_peak_rss_mib(trials):
-    # The child's own peak RSS. Linux carries ru_maxrss across exec, so a
-    # child of this (larger) test process would report at least our RSS;
-    # VmHWM belongs to the child's fresh address space alone.
+def _child_peak_rss_mib(argv):
+    # The child's own peak RSS after cli.main(argv), and its stdout. Linux
+    # carries ru_maxrss across exec, so a child of this (larger) test
+    # process would report at least our RSS; VmHWM belongs to the child's
+    # fresh address space alone.
     code = ("import sys\n"
             "from rotoxor import cli\n"
-            f"assert cli.main(['analyze', 'attack', '--trials', '{trials}']) == 0\n"
+            f"assert cli.main({argv!r}) == 0\n"
             "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
             "print(hwm.split()[1], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120, env=_CHILD_ENV)
-    assert f"recovered map verified on {trials} blocks" in proc.stdout
-    return int(proc.stderr.split()[-1]) / 1024
+    return int(proc.stderr.split()[-1]) / 1024, proc.stdout
+
+
+def _attack_peak_rss_mib(trials):
+    peak, out = _child_peak_rss_mib(["analyze", "attack", "--trials", str(trials)])
+    assert f"recovered map verified on {trials} blocks" in out
+    return peak
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -444,25 +450,34 @@ def test_analyze_attack_memory_does_not_grow_with_trials():
     assert large - small < 4, f"peak RSS {small:.1f} MiB at 100 trials, {large:.1f} MiB at 20000"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("target,done", [("avalanche-plaintext", "trials={}"),
+                                         ("avalanche-key", "trials={}"),
+                                         ("linearity", "result=PASS")],
+                         ids=["avalanche-plaintext", "avalanche-key", "linearity"])
+def test_analyze_report_memory_does_not_grow_with_trials(target, done):
+    # Trials run in fixed chunks into a histogram, so 50 times the trials
+    # costs at most a few MiB more; holding every trial's 64-octet state as
+    # bytes would add 4.6 MiB alone.
+    peaks = {}
+    for trials in (1000, 50000):
+        peaks[trials], out = _child_peak_rss_mib(["analyze", target, "--trials", str(trials)])
+        assert done.format(trials) in out.splitlines()
+    assert peaks[50000] - peaks[1000] < 4, f"peak RSS {peaks} MiB by trial count"
+
+
 def _decrypt_peak_rss_mib(tmp_path, size):
-    # A raw `rotoxor decrypt` of a size-octet message, as the child's VmHWM
-    # (see _attack_peak_rss_mib).
+    # A raw `rotoxor decrypt` of a size-octet message, as the child's VmHWM.
     key = write_key(tmp_path)
     ct, out = tmp_path / f"{size}.ct", tmp_path / f"{size}.out"
     master = keys.read_key_file(key)
     ct.write_bytes(codec._encrypt_buffer(bytes(size), master, random.Random(0)))
-    code = ("import sys\n"
-            "from rotoxor import cli\n"
-            f"assert cli.main(['decrypt', '--key', {str(key)!r}, '--in', {str(ct)!r},"
-            f" '--out', {str(out)!r}, '--encoding', 'raw']) == 0\n"
-            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-            "print(hwm.split()[1], file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120, env=_CHILD_ENV)
+    peak, _ = _child_peak_rss_mib(["decrypt", "--key", str(key), "--in", str(ct),
+                                   "--out", str(out), "--encoding", "raw"])
     assert out.stat().st_size == size
     ct.unlink()
     out.unlink()
-    return int(proc.stderr.split()[-1]) / 1024
+    return peak
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -473,6 +488,30 @@ def test_raw_decrypt_holds_two_copies_of_the_file(tmp_path):
     small = _decrypt_peak_rss_mib(tmp_path, 1 << 20)
     large = _decrypt_peak_rss_mib(tmp_path, 17 << 20)
     assert large - small < 40, f"peak RSS {small:.1f} MiB at 1 MiB, {large:.1f} MiB at 17 MiB"
+
+
+def _encrypt_peak_rss_mib(tmp_path, size, encoding):
+    # A `rotoxor encrypt` of a size-octet message, as the child's VmHWM.
+    key = write_key(tmp_path)
+    pt, out = tmp_path / f"{size}.pt", tmp_path / f"{size}.{encoding}"
+    pt.write_bytes(bytes(size))
+    peak, _ = _child_peak_rss_mib(["encrypt", "--key", str(key), "--in", str(pt),
+                                   "--out", str(out), "--encoding", encoding, "--seed", "0"])
+    assert out.stat().st_size > size
+    pt.unlink()
+    out.unlink()
+    return peak
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("encoding,bound", [("hex", 56), ("base64", 45)])
+def test_encoded_encrypt_drops_the_plaintext(tmp_path, encoding, bound):
+    # The padded copy and the encoded text (2x or 4/3x): 16 MiB more input
+    # costs about 48 (hex) or 37 (base64) MiB more peak. Holding the message
+    # through the encode step as well would add 16 MiB to that.
+    small = _encrypt_peak_rss_mib(tmp_path, 1 << 20, encoding)
+    large = _encrypt_peak_rss_mib(tmp_path, 17 << 20, encoding)
+    assert large - small < bound, f"peak RSS {small:.1f} MiB at 1 MiB, {large:.1f} MiB at 17 MiB"
 
 
 def test_analyze_singular_map_exits_5(capsys, monkeypatch):

@@ -1,10 +1,13 @@
 """Analysis reports stay bit-identical for identical seeds.
 
-The reports run on the batch pipeline. These tests pin them two ways: the
-sha256 of each `rotoxor analyze` report at its defaults, and equality with
-a scalar restatement (encrypt_block per block, RNG draws in the documented
-order) over several keys and seeds. Comparing the code with itself would
-miss a reordered RNG draw; both checks here would not.
+The reports run on the batch pipeline, in chunks of trials. These tests pin
+them three ways: the sha256 of each `rotoxor analyze` report at its defaults
+and across chunk seams, equality with a scalar restatement (encrypt_block
+per block, one RNG per trial drawn in the documented order, statistics
+computed on the list of distances) over several keys and seeds with short
+chunks, and the stdlib RNG identities that let the reports draw in bulk.
+Comparing the code with itself would miss a reordered RNG draw; these
+checks would not.
 """
 
 import hashlib
@@ -12,12 +15,15 @@ import io
 import random
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rotoxor import analysis, batch, cli, keys
 from rotoxor.cipher import decrypt_block, encrypt_block
 from rotoxor.keys import session_key_chain
-from support import batched, blockwise, flip_bit, hamming_distance
+from support import avalanche_report_reference, batched, blockwise, flip_bit, hamming_distance
 
 # sha256 of the stdout of `rotoxor analyze <target>` with default options.
 DEFAULT_REPORT_SHA256 = {
@@ -31,11 +37,97 @@ DEFAULT_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("target", sorted(DEFAULT_REPORT_SHA256))
 def test_default_report_digest(target):
+    assert _report_sha256(["analyze", target]) == DEFAULT_REPORT_SHA256[target]
+
+
+# sha256 of `rotoxor analyze <target> --seed 77 --trials 3001`, recorded before
+# the reports ran in chunks: 3001 trials cross two 1024-trial seams.
+SEAM_REPORT_SHA256 = {
+    "attack": "ed9f12c1dad61fc9d99e54e462d32a93d8b69abf653b77c9065c20f8903daabf",
+    "avalanche-plaintext": "bc72a3a9a5353cfbffabf5ac1683867ccfd7fd483e315834c1f847e3ce3e977b",
+    "avalanche-key": "ed6a8addabc1a58d6a9b746c1898b3517d64fb0a78b10adfb07ea0019a8c5249",
+    "linearity": "0fb79c5ec48fe84dc96edd3b1ef7212d2d597d18cb2ddaad4790b818275e5e07",
+}
+
+
+@pytest.mark.parametrize("target", sorted(SEAM_REPORT_SHA256))
+def test_report_digest_across_chunk_seams(target):
+    assert analysis._TRIAL_CHUNK == 1024
+    digest = _report_sha256(["analyze", target, "--seed", "77", "--trials", "3001"])
+    assert digest == SEAM_REPORT_SHA256[target]
+
+
+def _report_sha256(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert cli.main(["analyze", target]) == 0
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == DEFAULT_REPORT_SHA256[target]
+        assert cli.main(argv) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# --- the RNG identities the chunked reports rely on -------------------------
+
+RNG_SEEDS = [0, 7, -3, 2 ** 64 + 5]
+RNG_COUNTS = [1, 3, 7, 1000]
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+@pytest.mark.parametrize("n", RNG_COUNTS)
+def test_bulk_randbytes_equals_joined_blocks(seed, n):
+    one, many = random.Random(seed), random.Random(seed)
+    assert one.randbytes(64 * n) == b"".join(many.randbytes(64) for _ in range(n))
+    assert one.getstate() == many.getstate()
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+@pytest.mark.parametrize("n", RNG_COUNTS)
+def test_getrandbits_skips_the_blocks_it_spans(seed, n):
+    skipped, drawn = random.Random(seed), random.Random(seed)
+    skipped.getrandbits(512 * n)
+    for _ in range(n):
+        drawn.randbytes(64)
+    assert skipped.getstate() == drawn.getstate()
+    assert skipped.randbytes(64) == drawn.randbytes(64)
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+@pytest.mark.parametrize("n", RNG_COUNTS)
+def test_bulk_getrandbits_splits_into_the_single_draws(seed, n, monkeypatch):
+    single = random.Random(seed)
+    singles = [single.getrandbits(64) for _ in range(n)]
+    words = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+    assert [int.from_bytes(words[i:i + 8], "little") for i in range(0, 8 * n, 8)] == singles
+    monkeypatch.setattr(analysis, "_TRIAL_CHUNK", 7)
+    chunks = list(analysis._trial_seeds(seed, n))
+    assert [len(c) for c in chunks] == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
+    assert [sub for chunk in chunks for sub in chunk] == singles
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_reseeded_generator_draws_as_a_fresh_one(seed):
+    master = random.Random(seed)
+    reused, seeded = random.Random(), random.Random()
+    reused.gauss(0, 1)  # leaves a cached second normal behind, which seed() clears
+    reseed = analysis._seeder(seeded)
+    for _ in range(20):
+        sub = master.getrandbits(64)
+        fresh = random.Random(sub)
+        reused.seed(sub)
+        reseed(sub)
+        for rng in (reused, seeded):
+            assert rng.getstate() == fresh.getstate()
+        draws = [(rng.randbytes(64), rng.randrange(512), rng.randrange(64),
+                  rng.choice([0, 1, 2, 3, 5, 6, 7]), rng.getstate())
+                 for rng in (fresh, reused, seeded)]
+        assert draws[1] == draws[0] and draws[2] == draws[0]
+
+
+@given(st.lists(st.integers(0, 512), min_size=1, max_size=300), st.integers(), st.text())
+def test_histogram_report_equals_list_statistics(distances, seed, mode):
+    histogram = np.bincount(distances, minlength=513)
+    report = analysis._avalanche_report(histogram, seed, mode)
+    reference = avalanche_report_reference(distances, seed, mode)
+    assert report == reference
+    assert report.as_lines() == reference.as_lines()
 
 
 # --- scalar restatements -----------------------------------------------------
@@ -52,7 +144,7 @@ def scalar_avalanche_plaintext(key, trials, seed):
         position = rng.randrange(512)
         distances.append(hamming_distance(
             encrypt_block(state, key), encrypt_block(flip_bit(state, position), key)))
-    return analysis._avalanche_report(distances, seed, "plaintext-sample")
+    return avalanche_report_reference(distances, seed, "plaintext-sample")
 
 
 def scalar_avalanche_key(master, trials, seed):
@@ -64,7 +156,7 @@ def scalar_avalanche_key(master, trials, seed):
         mutated[position] = rng.choice([d for d in range(8) if d != master[position]])
         distances.append(hamming_distance(
             encrypt_block(state, master), encrypt_block(state, bytes(mutated))))
-    return analysis._avalanche_report(distances, seed, "key-sample")
+    return avalanche_report_reference(distances, seed, "key-sample")
 
 
 def scalar_repeated_block_collisions(master, content, block_count):
@@ -94,12 +186,31 @@ def _scaled_encrypt(state, key):
     return bytes((b * (k + 2)) & 0xFF for b, k in zip(encrypt_block(state, key), key))
 
 
+def _pair_drawn(seed, trials, index):
+    # The index-th (x, y) pair linearity_check draws: every x, then every y.
+    rng = random.Random(seed)
+    draws = [rng.randbytes(64) for _ in range(2 * trials)]
+    return draws[index], draws[trials + index]
+
+
+def _breaks_pair(x, y):
+    # encrypt_block, except on x ^ y, so additivity fails on that pair alone.
+    target = bytes(a ^ b for a, b in zip(x, y))
+
+    def block_fn(state, key):
+        out = encrypt_block(state, key)
+        return flip_bit(out, 0) if state == target else out
+    return block_fn
+
+
 CASES = [(bytes(random.Random(k).choices(range(8), k=64)), seed)
          for k in (301, 302, 303) for seed in (0, 7)]
 
 
 @pytest.mark.parametrize("key,seed", CASES)
 def test_reports_match_scalar_restatement(key, seed, monkeypatch):
+    # Chunks of 7 trials: 40 trials cross five seams.
+    monkeypatch.setattr(analysis, "_TRIAL_CHUNK", 7)
     assert analysis.avalanche_plaintext(key, 40, seed) == \
         scalar_avalanche_plaintext(key, 40, seed)
     assert analysis.avalanche_key(key, 40, seed) == scalar_avalanche_key(key, 40, seed)
@@ -108,12 +219,17 @@ def test_reports_match_scalar_restatement(key, seed, monkeypatch):
     report = analysis.repeated_block_report(key, content, 18)
     assert report.collisions == scalar_repeated_block_collisions(key, content, 18)
     assert (17, 18) in report.collisions
-    assert analysis.linearity_check(key, 30, seed) == scalar_linearity_check(
-        encrypt_block, key, 30, seed)
+    assert analysis.linearity_check(key, 40, seed) == scalar_linearity_check(
+        encrypt_block, key, 40, seed)
     monkeypatch.setattr(batch, "encrypt_blocks", batched(_scaled_encrypt))
-    failed = analysis.linearity_check(key, 30, seed)
+    failed = analysis.linearity_check(key, 40, seed)
     assert not failed[0]
-    assert failed == scalar_linearity_check(_scaled_encrypt, key, 30, seed)
+    assert failed == scalar_linearity_check(_scaled_encrypt, key, 40, seed)
+    # A first failure in the second chunk: the pair drawn at index 10.
+    pair = _pair_drawn(seed, 40, 10)
+    monkeypatch.setattr(batch, "encrypt_blocks", batched(_breaks_pair(*pair)))
+    assert analysis.linearity_check(key, 40, seed) == (False, pair)
+    assert scalar_linearity_check(_breaks_pair(*pair), key, 40, seed) == (False, pair)
 
 
 def scalar_attack_report(key, trials, seed):

@@ -14,8 +14,6 @@ from .cipher import (
     encrypt_block,
     rotate_layer_decrypt,
     rotate_layer_encrypt,
-    rotate_octet_left,
-    rotate_octet_right,
     xor_layer_decrypt,
     xor_layer_encrypt,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "SENTINEL",
     "encrypt_block",
     "decrypt_block",
-    "rotate_octet_right",
-    "rotate_octet_left",
     "rotate_layer_encrypt",
     "rotate_layer_decrypt",
     "xor_layer_encrypt",

@@ -26,8 +26,6 @@ scalar one byte for byte.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .cipher import _NEIGH_1, _NEIGH_2, ROUNDS
@@ -57,10 +55,6 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
         x = np.bitwise_xor.reduce(x.take(_MIX_2, axis=0), axis=0)
         x = (x << right) | (x >> left)
     return x.T
-
-
-def blocks_to_array(blocks: Sequence[bytes]) -> np.ndarray:
-    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 64)
 
 
 def _cells(x) -> np.ndarray:

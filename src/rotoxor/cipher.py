@@ -26,9 +26,8 @@ from .keys import ROUNDS, derive_round_key
 
 BLOCK_SIZE = 64
 
-# _ROTR[r][b] / _ROTL[r][b]: octet b rotated right / left by r bit positions.
+# _ROTR[r][b]: octet b rotated right by r bit positions.
 _ROTR = [[((b >> r) | (b << (8 - r))) & 0xFF for b in range(256)] for r in range(8)]
-_ROTL = [[((b << r) | (b >> (8 - r))) & 0xFF for b in range(256)] for r in range(8)]
 
 
 def _plus_neighborhood(dist: int):
@@ -50,20 +49,6 @@ _NEIGH_1 = _plus_neighborhood(1)
 _NEIGH_2 = _plus_neighborhood(2)
 
 
-def rotate_octet_right(b: int, r: int) -> int:
-    """Circularly rotate the 8 bits of ``b`` right by ``r`` positions."""
-    _check_octet(b)
-    _check_rotation(r)
-    return _ROTR[r][b]
-
-
-def rotate_octet_left(b: int, r: int) -> int:
-    """Circularly rotate the 8 bits of ``b`` left by ``r`` positions."""
-    _check_octet(b)
-    _check_rotation(r)
-    return _ROTL[r][b]
-
-
 def rotate_layer_encrypt(state: bytes, key: bytes) -> bytes:
     """Rotate every octet right by the key digit at its grid position."""
     s = _check_state(state)
@@ -72,10 +57,13 @@ def rotate_layer_encrypt(state: bytes, key: bytes) -> bytes:
 
 
 def rotate_layer_decrypt(state: bytes, key: bytes) -> bytes:
-    """Rotate every octet left by its key digit; inverse of rotate_layer_encrypt."""
-    s = _check_state(state)
+    """Rotate every octet left by its key digit; inverse of rotate_layer_encrypt.
+
+    Left by d is right by -d mod 8. The key is checked first, since -d & 7
+    would turn an out-of-range digit such as 9 into a valid one.
+    """
     k = _check_key(key)
-    return bytes([_ROTL[r][b] for b, r in zip(s, k)])
+    return rotate_layer_encrypt(state, bytes([-d & 7 for d in k]))
 
 
 def xor_layer_encrypt(state: bytes) -> bytes:
@@ -96,39 +84,25 @@ def xor_layer_decrypt(state: bytes) -> bytes:
 
 
 def encrypt_block(state: bytes, session_key: bytes) -> bytes:
-    """Run the 8-round pipeline; each round rotates, then mixes neighbors."""
-    cells = _check_state(state)
+    """Run the 8 rounds; round m rotates by derive_round_key(session_key, m), then mixes."""
+    state = _check_state(state)
     key = _check_key(session_key)
     for m in range(1, ROUNDS + 1):
-        rk = derive_round_key(key, m)
-        rot = bytes([_ROTR[r][b] for b, r in zip(cells, rk)])
-        cells = _xor_pass(rot, _NEIGH_1)
-    return cells
+        state = xor_layer_encrypt(rotate_layer_encrypt(state, derive_round_key(key, m)))
+    return state
 
 
 def decrypt_block(state: bytes, session_key: bytes) -> bytes:
-    """Invert encrypt_block: rounds in reverse, XOR inverse before left rotations."""
-    cells = _check_state(state)
+    """Invert encrypt_block: rounds 8..1, each unmixing, then rotating back."""
+    state = _check_state(state)
     key = _check_key(session_key)
     for m in range(ROUNDS, 0, -1):
-        rk = derive_round_key(key, m)
-        mixed = _xor_pass(_xor_pass(cells, _NEIGH_1), _NEIGH_2)
-        cells = bytes([_ROTL[r][b] for b, r in zip(mixed, rk)])
-    return cells
+        state = rotate_layer_decrypt(xor_layer_decrypt(state), derive_round_key(key, m))
+    return state
 
 
 def _xor_pass(s: bytes, table) -> bytes:
     return bytes([s[c] ^ s[u] ^ s[d] ^ s[l] ^ s[r] for c, u, d, l, r in table])
-
-
-def _check_octet(b: int) -> None:
-    if not 0 <= b <= 0xFF:
-        raise ValueError(f"octet out of range: {b}")
-
-
-def _check_rotation(r: int) -> None:
-    if not 0 <= r <= 7:
-        raise ValueError(f"rotation count out of range: {r}")
 
 
 def _check_state(state: bytes) -> bytes:

@@ -8,8 +8,9 @@ class CipherError(Exception):
 class LengthError(CipherError):
     """Key text is not exactly 64 characters long."""
 
-    def __init__(self, length: int):
-        super().__init__(f"key text must be exactly 64 characters, got {length}")
+    def __init__(self, length: int, at_least: bool = False):
+        got = f"at least {length}" if at_least else length
+        super().__init__(f"key text must be exactly 64 characters, got {got}")
         self.length = length
 
 

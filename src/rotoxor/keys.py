@@ -71,9 +71,16 @@ def format_key(key: bytes) -> str:
 
 
 def read_key_file(path) -> bytes:
-    """Read a key file: one line of 64 digits, optional trailing newline."""
+    """Read a key file: one line of 64 digits, optional trailing newline.
+
+    At most 67 octets are read: 64 digits, a CR LF ending, and one more to
+    tell a longer file, which fails with LengthError without being read whole.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read(KEY_DIGITS + 3)
+    if len(raw) > KEY_DIGITS + 2:
+        # Less a CR LF ending, 67 octets still leave 65 characters.
+        raise LengthError(KEY_DIGITS + 1, at_least=True)
     text = raw.decode("latin-1")
     if text.endswith("\n"):
         text = text[:-1]

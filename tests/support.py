@@ -185,6 +185,11 @@ def block_12_master(rng: random.Random) -> bytes:
 IDENTITY_FORM_MASTER = bytes([0, 4, 4, 0] * 16)
 
 
+def blocks_to_array(blocks) -> np.ndarray:
+    """Join 64-octet blocks into one (N, 64) uint8 array."""
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 64)
+
+
 def array_to_blocks(arr: np.ndarray) -> list[bytes]:
     data = np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
     return [data[i:i + 64] for i in range(0, len(data), 64)]

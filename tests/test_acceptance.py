@@ -11,10 +11,12 @@ import time
 from contextlib import redirect_stdout
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from rotoxor import analysis, batch, cli, gf2
 from rotoxor.analysis import (
+    LinearMap512,
     avalanche_key,
     avalanche_plaintext,
     bench_throughput,
@@ -29,11 +31,10 @@ from rotoxor.cipher import (
     encrypt_block,
     rotate_layer_decrypt,
     rotate_layer_encrypt,
-    rotate_octet_right,
     xor_layer_decrypt,
     xor_layer_encrypt,
 )
-from rotoxor.codec import decrypt_message, encrypt_message
+from rotoxor.codec import decrypt_message, encrypt_message, unpad_message
 from rotoxor.keys import derive_round_key, session_key_chain
 from support import (
     batched,
@@ -128,7 +129,8 @@ def test_worked_values():
     row = bytes(range(8)) * 8
     assert list(islice(session_key_chain(row), 2))[1] == bytes([1, 3, 5, 7, 1, 3, 5, 7]) * 8
     assert derive_round_key(row, 2) == bytes([7, 0, 1, 2, 3, 4, 5, 6]) * 8
-    assert rotate_octet_right(0b10010100, 2) == 0b00100101
+    assert rotate_layer_encrypt(bytes([0b10010100]) * 64, bytes([2]) * 64) == \
+        bytes([0b00100101]) * 64
 
 
 @acceptance("linearity (10 keys x 10,000 pairs; mutation caught)")
@@ -198,6 +200,54 @@ def test_attack_demonstration():
             assert kpa_decrypt(linear_map, ciphertext) == decrypt_block(ciphertext, key)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"attack suite took {elapsed:.2f}s"
+
+
+# Query i is octet 0x01 in cell i: the element 1 of R = F2[x]/(x^8 + 1) there.
+_CELL_QUERIES = b"".join(bytes(i) + b"\x01" + bytes(63 - i) for i in range(64))
+
+
+def _columns_from_cell_replies(replies: bytes) -> np.ndarray:
+    # E_k is R-linear and multiplying by x rotates every octet left one bit,
+    # so GF(2) column 8i+j, the image of octet 1 << j in cell i, is reply i
+    # with every octet rotated left by j. Returns gf2 packed columns (512, 8).
+    r = np.frombuffer(replies, np.uint8).reshape(64, 1, 64)
+    j = np.arange(8, dtype=np.uint8).reshape(1, 8, 1)
+    columns = (r << j) | (r >> ((8 - j) & 7))
+    return np.ascontiguousarray(columns).reshape(512, 64).view("<u8")
+
+
+@acceptance("R-linearity: 64 queries rebuild the 512-query matrix exactly (20 keys)")
+def test_sixty_four_queries_rebuild_the_matrix():
+    rng = random.Random(0xAC0A)
+    for _ in range(20):
+        key = random_key(rng)
+        replies = blockwise(lambda b, _key=key: encrypt_block(b, _key))(_CELL_QUERIES)
+        linear_map = recover_linear_map(lambda blocks, _key=key:
+                                        batch.encrypt_blocks(blocks, _key).tobytes())
+        assert np.array_equal(_columns_from_cell_replies(replies), linear_map.columns)
+
+
+@acceptance("message-level break: 64 chosen 768-octet messages give a master's 12 live "
+            "transforms, which decrypt its other messages without the key")
+def test_chosen_messages_decrypt_without_the_key():
+    rng = random.Random(0xAC0B)
+    master = random_key(rng)
+    # Message i repeats query i in all 12 blocks. Its padding fills a 13th
+    # block, so each of the 12 live blocks is a chosen plaintext under one
+    # session key, and its replies give that key's 64 cell columns.
+    replies = [encrypt_message(_CELL_QUERIES[64 * i:64 * i + 64] * 12, master, rng)
+               for i in range(64)]
+    maps = [LinearMap512(_columns_from_cell_replies(b"".join(r[b] for r in replies)))
+            for b in range(12)]
+    for length in (231, 640, 768, 1100, 1577):
+        message = bytearray(rng.randbytes(length))
+        if message[-1] == 0x23:
+            message[-1] = 0x21  # keep the tail '#'-free per the contract
+        blocks = encrypt_message(bytes(message), master, rng)
+        # Blocks past the 12th are sent unchanged (the key-schedule collapse).
+        plain = [kpa_decrypt(maps[b], bytes(block)) if b < 12 else block
+                 for b, block in enumerate(blocks)]
+        assert unpad_message(b"".join(plain)) == message
 
 
 @acceptance("repeated blocks distinct (20 fixtures) with degenerate collisions")

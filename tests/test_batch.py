@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rotoxor import batch
 from rotoxor.cipher import decrypt_block, encrypt_block
-from support import array_to_blocks
+from support import array_to_blocks, blocks_to_array
 
 
 def test_encrypt_blocks_matches_scalar_per_block_keys():
@@ -18,7 +18,7 @@ def test_encrypt_blocks_matches_scalar_per_block_keys():
     states = [rng.randbytes(64) for _ in range(100)]
     ks = [bytes(rng.choices(range(8), k=64)) for _ in range(100)]
     out = batch.encrypt_blocks(
-        batch.blocks_to_array(states), batch.blocks_to_array(ks)
+        blocks_to_array(states), blocks_to_array(ks)
     )
     assert array_to_blocks(out) == [
         encrypt_block(s, k) for s, k in zip(states, ks)
@@ -29,7 +29,7 @@ def test_encrypt_blocks_broadcasts_single_key():
     rng = random.Random(51)
     states = [rng.randbytes(64) for _ in range(40)]
     key = bytes(rng.choices(range(8), k=64))
-    out = batch.encrypt_blocks(batch.blocks_to_array(states), key)
+    out = batch.encrypt_blocks(blocks_to_array(states), key)
     assert array_to_blocks(out) == [encrypt_block(s, key) for s in states]
 
 
@@ -38,7 +38,7 @@ def test_decrypt_blocks_matches_scalar():
     states = [rng.randbytes(64) for _ in range(100)]
     ks = [bytes(rng.choices(range(8), k=64)) for _ in range(100)]
     out = batch.decrypt_blocks(
-        batch.blocks_to_array(states), batch.blocks_to_array(ks)
+        blocks_to_array(states), blocks_to_array(ks)
     )
     assert array_to_blocks(out) == [
         decrypt_block(s, k) for s, k in zip(states, ks)
@@ -47,7 +47,7 @@ def test_decrypt_blocks_matches_scalar():
 
 def test_batch_round_trip():
     rng = random.Random(53)
-    states = batch.blocks_to_array([rng.randbytes(64) for _ in range(500)])
+    states = blocks_to_array([rng.randbytes(64) for _ in range(500)])
     key = bytes(rng.choices(range(8), k=64))
     back = batch.decrypt_blocks(batch.encrypt_blocks(states, key), key)
     assert np.array_equal(back, states)
@@ -56,7 +56,7 @@ def test_batch_round_trip():
 def test_blocks_array_round_trip():
     rng = random.Random(54)
     blocks = [rng.randbytes(64) for _ in range(7)]
-    arr = batch.blocks_to_array(blocks)
+    arr = blocks_to_array(blocks)
     assert arr.shape == (7, 64)
     assert array_to_blocks(arr) == blocks
 
@@ -84,7 +84,7 @@ def _scalar(block_fn, states, keys):
 @pytest.mark.parametrize("n", [0, 1, 6, 12, 13, 16, 17, 1000])
 def test_both_directions_match_scalar_at_edge_sizes(n):
     rng = random.Random(56 + n)
-    states = batch.blocks_to_array([rng.randbytes(64) for _ in range(n)])
+    states = blocks_to_array([rng.randbytes(64) for _ in range(n)])
     per_block = _random_keys(rng, n)
     one = bytes(rng.choices(range(8), k=64))
     one_row = np.frombuffer(one, dtype=np.uint8).reshape(1, 64)
@@ -132,7 +132,7 @@ def test_per_block_keys_peak_memory(fn):
 
 def test_non_contiguous_and_buffer_inputs():
     rng = random.Random(57)
-    wide = batch.blocks_to_array([rng.randbytes(64) for _ in range(10)])
+    wide = blocks_to_array([rng.randbytes(64) for _ in range(10)])
     states = wide[::2]
     keys = _random_keys(rng, 10)[::2]
     assert not states.flags.c_contiguous and not keys.flags.c_contiguous
@@ -173,7 +173,7 @@ def test_inputs_are_never_written(n):
 def test_zero_key_is_the_identity_both_ways():
     # Under the all-zero key each round is I+N, and (I+N)^8 = I.
     rng = random.Random(58)
-    states = batch.blocks_to_array([rng.randbytes(64) for _ in range(33)])
+    states = blocks_to_array([rng.randbytes(64) for _ in range(33)])
     for keys in (bytes(64), np.zeros((33, 64), dtype=np.uint8)):
         assert np.array_equal(batch.encrypt_blocks(states, keys), states)
         assert np.array_equal(batch.decrypt_blocks(states, keys), states)

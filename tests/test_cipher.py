@@ -13,8 +13,6 @@ from rotoxor.cipher import (
     encrypt_block,
     rotate_layer_decrypt,
     rotate_layer_encrypt,
-    rotate_octet_left,
-    rotate_octet_right,
     xor_layer_decrypt,
     xor_layer_encrypt,
 )
@@ -29,39 +27,52 @@ def random_key(rng):
     return bytes(rng.choices(range(8), k=64))
 
 
-# --- octet rotations ---------------------------------------------------------
+# --- octet rotations, through the layer on uniform states and keys ---------
+
+def _uniform(value: int) -> bytes:
+    return bytes([value]) * 64
+
 
 def test_rotate_octet_vectors():
-    assert rotate_octet_right(0b10010100, 0) == 0b10010100
-    assert rotate_octet_right(0b10010100, 2) == 0b00100101
-    assert rotate_octet_right(0b11111111, 5) == 0b11111111
-    assert rotate_octet_left(0b00100101, 2) == 0b10010100
-    assert rotate_octet_left(0b00000001, 1) == 0b00000010
-    assert rotate_octet_left(0xAA, 1) == 0x55
+    assert rotate_layer_encrypt(_uniform(0b10010100), _uniform(0)) == _uniform(0b10010100)
+    assert rotate_layer_encrypt(_uniform(0b10010100), _uniform(2)) == _uniform(0b00100101)
+    assert rotate_layer_encrypt(_uniform(0b11111111), _uniform(5)) == _uniform(0b11111111)
+    assert rotate_layer_decrypt(_uniform(0b00100101), _uniform(2)) == _uniform(0b10010100)
+    assert rotate_layer_decrypt(_uniform(0b00000001), _uniform(1)) == _uniform(0b00000010)
+    assert rotate_layer_decrypt(_uniform(0xAA), _uniform(1)) == _uniform(0x55)
 
 
 def test_rotate_octet_inverse_exhaustive():
-    for b in range(256):
-        for r in range(8):
-            assert rotate_octet_left(rotate_octet_right(b, r), r) == b
-            assert rotate_octet_right(rotate_octet_left(b, r), r) == b
+    # All 256 octets, four blocks of 64, under each uniform key.
+    octets = bytes(range(256))
+    for r in range(8):
+        for i in range(0, 256, 64):
+            s = octets[i:i + 64]
+            assert rotate_layer_decrypt(rotate_layer_encrypt(s, _uniform(r)), _uniform(r)) == s
+            assert rotate_layer_encrypt(rotate_layer_decrypt(s, _uniform(r)), _uniform(r)) == s
 
 
 def test_rotate_octet_preserves_weight():
     for b in (0b10010100, 0x01, 0xF0, 0x77):
         for r in range(8):
-            assert bin(rotate_octet_right(b, r)).count("1") == bin(b).count("1")
+            out = rotate_layer_encrypt(_uniform(b), _uniform(r))
+            assert out == _uniform(out[0])
+            assert bin(out[0]).count("1") == bin(b).count("1")
 
 
-def test_rotate_octet_domain_checks():
-    with pytest.raises(ValueError):
-        rotate_octet_right(256, 1)
-    with pytest.raises(ValueError):
-        rotate_octet_right(-1, 1)
-    with pytest.raises(ValueError):
-        rotate_octet_right(1, 8)
-    with pytest.raises(ValueError):
-        rotate_octet_left(1, -1)
+def test_rotate_layer_checks_digits_before_negating():
+    # rotate_layer_decrypt rotates right by -d & 7, which maps digit 9 to a
+    # valid 7: the key check must come first.
+    for digit in (8, 9, 15, 255):
+        bad = bytes([1]) * 63 + bytes([digit])
+        for layer in (rotate_layer_encrypt, rotate_layer_decrypt):
+            with pytest.raises(ValueError, match="key digits"):
+                layer(bytes(64), bad)
+    for layer in (rotate_layer_encrypt, rotate_layer_decrypt):
+        with pytest.raises(ValueError, match="state must be"):
+            layer(bytes(63), bytes(64))
+        with pytest.raises(ValueError, match="key must have"):
+            layer(bytes(64), bytes(63))
 
 
 # --- rotation layer ----------------------------------------------------------
@@ -367,6 +378,27 @@ def test_digit_restricted_keys_have_smaller_order(digits, order, data):
     states, session_keys = data.draw(_keyed_blocks(digits))
     for keys in (session_keys[:64], session_keys):
         assert _encrypt_times(states, keys, order) == states
+
+
+# --- R-linearity: E_k(x v) = x E_k(v) ----------------------------------------
+
+def _times_x(data) -> bytes:
+    # x v in R = F2[x]/(x^8 + 1), octet by octet: every octet rotated left one bit.
+    return bytes(((b << 1) | (b >> 7)) & 0xFF for b in bytes(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keyed_blocks(range(8)))
+def test_block_transform_is_r_linear(blocks):
+    # Rotations are powers of x and the mix XORs whole octets, so E_k is a
+    # matrix over R and commutes with multiplication by x (cipher docstring).
+    states, session_keys = blocks
+    state, key = states[:64], session_keys[:64]
+    assert encrypt_block(_times_x(state), key) == _times_x(encrypt_block(state, key))
+    assert decrypt_block(_times_x(state), key) == _times_x(decrypt_block(state, key))
+    for keys in (key, session_keys):
+        for op in (batch.encrypt_blocks, batch.decrypt_blocks):
+            assert op(_times_x(states), keys).tobytes() == _times_x(op(states, keys).tobytes())
 
 
 def test_scalar_decryption_is_seven_encryptions():

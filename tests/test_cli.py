@@ -420,14 +420,14 @@ def test_analyze_attack_checks_trials_in_chunks_and_counts_rows(capsys, monkeypa
     assert "mismatches=3" in capsys.readouterr().out.splitlines()
 
 
-def _child_peak_rss_mib(argv):
-    # The child's own peak RSS after cli.main(argv), and its stdout. Linux
+def _child_peak_rss_mib(argv, status=0):
+    # The child's own peak RSS after cli.main(argv) returns status, and its stdout. Linux
     # carries ru_maxrss across exec, so a child of this (larger) test
     # process would report at least our RSS; VmHWM belongs to the child's
     # fresh address space alone.
     code = ("import sys\n"
             "from rotoxor import cli\n"
-            f"assert cli.main({argv!r}) == 0\n"
+            f"assert cli.main({argv!r}) == {status}\n"
             "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
             "print(hwm.split()[1], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -512,6 +512,27 @@ def test_encoded_encrypt_drops_the_plaintext(tmp_path, encoding, bound):
     small = _encrypt_peak_rss_mib(tmp_path, 1 << 20, encoding)
     large = _encrypt_peak_rss_mib(tmp_path, 17 << 20, encoding)
     assert large - small < bound, f"peak RSS {small:.1f} MiB at 1 MiB, {large:.1f} MiB at 17 MiB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_oversized_key_file_is_not_read_whole(tmp_path, capsys):
+    # A 64 MiB sparse key file fails as a 3-octet one does, on its first 67
+    # octets: reading it whole took the child's peak from 29 to 157 MiB.
+    (tmp_path / "in.txt").write_bytes(b"x")
+    peaks = {}
+    for size in (3, 64 << 20):
+        key = tmp_path / f"{size}.key"
+        with open(key, "wb") as fh:
+            fh.truncate(size)
+        peaks[size], _ = _child_peak_rss_mib(["encrypt", "--key", str(key), "--in",
+                                              str(tmp_path / "in.txt"), "--out",
+                                              str(tmp_path / "out.ct")], status=2)
+    assert not (tmp_path / "out.ct").exists()
+    assert peaks[64 << 20] - peaks[3] < 4, f"peak RSS {peaks} MiB by key file size"
+    assert run_cli(["encrypt", "--key", str(key), "--in", str(tmp_path / "in.txt"),
+                    "--out", str(tmp_path / "out.ct")]) == 2
+    assert capsys.readouterr().err == \
+        "key error: key text must be exactly 64 characters, got at least 65\n"
 
 
 def test_analyze_singular_map_exits_5(capsys, monkeypatch):

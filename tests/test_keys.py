@@ -58,6 +58,49 @@ def test_read_key_file(tmp_path):
         keys.read_key_file(tmp_path / "bad.txt")
 
 
+def _whole_read_error(raw: bytes) -> str:
+    # The message of a read that takes the whole file, the behaviour the
+    # capped read keeps for files of up to 66 octets.
+    text = raw.decode("latin-1")
+    text = text[:-1] if text.endswith("\n") else text
+    text = text[:-1] if text.endswith("\r") else text
+    try:
+        keys.parse_master_key(text)
+    except (LengthError, DigitError) as err:
+        return str(err)
+    return ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(60, 70), st.sampled_from(b"07\n\rx"),
+       st.sampled_from([b"", b"\n", b"\r\n", b"\n\n", b"\r\n\n"]))
+def test_read_key_file_caps_the_read(tmp_path_factory, size, odd, ending):
+    # size octets, one of them odd, then a line ending: 60 to 73 octets.
+    raw = b"0" * (size // 2) + bytes([odd]) + b"0" * (size - size // 2 - 1) + ending
+    path = tmp_path_factory.mktemp("key") / "key.txt"
+    path.write_bytes(raw)
+    try:
+        keys.read_key_file(path)
+        message = ""
+    except (LengthError, DigitError) as err:
+        message = str(err)
+    expected = _whole_read_error(raw)
+    if len(raw) <= 66:
+        assert message == expected
+    else:
+        assert message == "key text must be exactly 64 characters, got at least 65"
+        assert int(expected.rsplit(" ", 1)[1]) >= 65
+
+
+def test_read_key_file_of_64_mib_fails_on_its_first_67_octets(tmp_path):
+    path = tmp_path / "huge.txt"
+    with open(path, "wb") as fh:
+        fh.truncate(64 << 20)
+    with pytest.raises(LengthError, match="got at least 65$") as err:
+        keys.read_key_file(path)
+    assert err.value.length == 65
+
+
 def test_round_key_shift_zero_is_identity():
     rng = random.Random(20)
     k = random_key(rng)

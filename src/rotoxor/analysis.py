@@ -30,6 +30,8 @@ STATE_BITS = 512
 _TRIAL_CHUNK = 1024
 # _POPCOUNT[b] is the number of set bits in octet b.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint16)
+# Row i is the packed basis state 8i: octet 0x01 in cell i.
+_CELL_BASIS = np.eye(64, dtype=np.uint8).view("<u8")
 
 
 class LinearMap512:
@@ -38,16 +40,43 @@ class LinearMap512:
     ``columns`` holds the matrix's columns as gf2 packed rows, shape
     (512, 8): row c is the image of the c-th single-bit basis state, so its
     bytes are that ciphertext block. ``inverse`` holds the inverse matrix's
-    columns in the same form, computed once when the map is built; building
-    raises SingularMapError if there is none.
+    columns in the same form, computed once when the map is built.
+
+    The inverse comes from the cipher's algebra (see ``cipher``), with no
+    elimination. Read each octet as an element of R = F2[x]/(x + 1)^8, so
+    that multiplying by x rotates it left one bit. Only an R-linear M with
+    M^8 = I is accepted, as every key's transform is; then M^-1 = M^7.
+    Building checks both facts and raises SingularMapError naming the first
+    that fails:
+
+    - R-linearity: column 8i + j is column 8i with every octet rotated left
+      by j, since basis state 8i + j is x^j times basis state 8i;
+    - M^8 = I: eight products with M return each of the 64 cell basis
+      states 8i, which with R-linearity gives every column.
+
+    Six products by M take the 64 cell columns to M^7 on the cells, and the
+    same rotations expand that to all 512 columns of the inverse. A
+    nonsingular matrix outside that class is refused too.
     """
 
     def __init__(self, columns: np.ndarray):
         if columns.shape != (STATE_BITS, STATE_BITS // 64):
             raise ValueError(
                 f"expected {STATE_BITS} packed columns of {STATE_BITS} bits, got {columns.shape}")
+        cells = columns[::8]
+        wrong = (_rotations(cells) != columns).any(axis=1)
+        if wrong.any():
+            c = int(wrong.argmax())
+            raise SingularMapError(f"not R-linear: column {c} is not column {c & ~7} "
+                                   f"rotated left by {c & 7}")
+        power = cells
+        for _ in range(6):
+            power = gf2.mat_vec(columns, power)
+        moved = (gf2.mat_vec(columns, power) != _CELL_BASIS).any(axis=1)
+        if moved.any():
+            raise SingularMapError(f"M^8 is not I: it moves basis state {8 * int(moved.argmax())}")
         self.columns = columns
-        self.inverse = gf2.invert(columns, STATE_BITS)
+        self.inverse = _rotations(power)
 
     def mean_column_weight(self) -> float:
         ones = int(_POPCOUNT[self.columns.view(np.uint8)].sum())
@@ -62,9 +91,10 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
     buffer of the same length. It is asked once, for the 512 single-bit
     basis states in column order; ciphertext c is matrix column c. The
     inverse is computed here, once, for kpa_decrypt. Raises ValueError if
-    the reply has the wrong length, and SingularMapError if the result is
-    not invertible, which for this construction signals a broken
-    implementation.
+    the reply has the wrong length, and SingularMapError if the matrix is
+    not one LinearMap512 accepts (singular, or not R-linear with M^8 = I),
+    with the failed check as its cause; for this construction either
+    signals a broken implementation.
     """
     bit = np.arange(STATE_BITS)
     basis = np.zeros((STATE_BITS, 64), np.uint8)
@@ -76,7 +106,8 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
     try:
         return LinearMap512(np.frombuffer(replies, "<u8").reshape(STATE_BITS, -1))
     except SingularMapError as err:
-        raise SingularMapError("recovered cipher matrix is singular") from err
+        raise SingularMapError(
+            "recovered cipher matrix is singular or not R-linear with M^8 = I") from err
 
 
 def kpa_decrypt(linear_map: LinearMap512, ciphertext: bytes) -> bytes:
@@ -349,6 +380,14 @@ def _seeder(rng: random.Random) -> Callable[[int], None]:
     # gauss() value, which no report draws: the same state as Random(sub),
     # without a Python frame per trial.
     return super(random.Random, rng).seed
+
+
+def _rotations(cells: np.ndarray) -> np.ndarray:
+    # The 512 packed columns of an R-linear map from its 64 cell columns:
+    # column 8i + j is column 8i with every octet rotated left by j.
+    r = cells.view(np.uint8).reshape(64, 1, 64)
+    j = np.arange(8, dtype=np.uint8).reshape(1, 8, 1)
+    return ((r << j) | (r >> ((8 - j) & 7))).reshape(STATE_BITS, -1).view("<u8")
 
 
 def _flip_bits(states: np.ndarray, positions) -> np.ndarray:

@@ -40,4 +40,9 @@ class DecodeError(CipherError):
 
 
 class SingularMapError(CipherError):
-    """A recovered linear map is singular, which signals a broken cipher."""
+    """A recovered linear map has no inverse the attack can build.
+
+    The attack accepts only a map that is R-linear with M^8 = I, as every
+    key's block transform is (see ``analysis.LinearMap512``); a singular map
+    fails that too. Either failure signals a broken cipher.
+    """

@@ -7,13 +7,14 @@ packed row. ``transpose``, ``rank`` and ``invert`` ignore the bits of a
 row at n and above. Inverting the packed columns of A gives the packed
 columns of A^-1, since (A^T)^-1 = (A^-1)^T; ``mat_vec`` takes that form.
 
-Both ``mat_vec`` and the elimination under ``rank`` and ``invert`` use the
-Method of Four Russians (Bard 2006; Albrecht, Bard and Hart, M4RI, 2010),
-with one builder, ``_xor_table``, for the tables of XOR combinations.
-``mat_vec`` XORs one entry per nibble of x. Elimination takes 8 columns,
-one octet of every row, per step: it picks up to 8 pivot rows for the
-strip, tabulates their combinations, and clears the strip from every row
-with one gather and one XOR, so a 512-column matrix takes 64 steps.
+``mat_vec`` is the attack's one kernel. It uses the Method of Four Russians
+(Bard 2006; Albrecht, Bard and Hart, M4RI, 2010): ``_xor_table`` tabulates
+the XOR combinations of each four columns, and each nibble of x picks one
+entry. ``rank`` and ``invert`` share a plain Gauss-Jordan loop, one column
+per step. No package code calls them or ``transpose``: the attack inverts
+through unipotence (see ``analysis.LinearMap512``), and they stay as the
+tests' elimination oracle and because perfbench/spans.py traces them by
+name.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import SingularMapError
 
 
-# Only the tests call it now; perfbench/spans.py traces the name, so it stays.
 def transpose(rows: np.ndarray, n: int) -> np.ndarray:
     """The n x len(rows) transpose of the len(rows) x n matrix ``rows``."""
     bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
@@ -58,12 +58,12 @@ def mat_vec(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def rank(rows: np.ndarray, n: int) -> int:
-    """Rank over columns 0..n-1 via Gaussian elimination; the input is not modified."""
+    """Rank over columns 0..n-1 by Gauss-Jordan elimination; the input is not modified."""
     return len(_eliminate(rows.copy(), n))
 
 
 def invert(rows: np.ndarray, n: int) -> np.ndarray:
-    """Inverse via elimination on [A | I]; raises SingularMapError if singular."""
+    """Inverse by Gauss-Jordan elimination on [A | I]; raises SingularMapError if singular."""
     if len(rows) != n:
         raise SingularMapError(f"matrix must be {n}x{n}")
     work = np.hstack([rows, _pack_bits(np.eye(n, dtype=np.uint8))])
@@ -92,57 +92,25 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(work: np.ndarray, n: int) -> list[int]:
-    # Gauss-Jordan elimination in place on bit columns 0..n-1 of the C-ordered
-    # packed rows: afterwards work[r] is the only row with a bit in pivots[r],
-    # and those rows come first, in column order. Bits at n and above ride
+    # Gauss-Jordan elimination in place on bit columns 0..n-1 of the packed
+    # rows: afterwards work[r] is the only row with a bit in pivots[r], and
+    # those rows come first, in column order. Bits at n and above ride
     # along, which is how invert carries the identity half of [A | I] in the
-    # words after A. One step per 8-column strip, octet c0 // 8 of every
-    # row; rows r0 and below hold no bit left of the strip. The pivot
-    # columns of a reduced row-echelon form do not depend on which rows are
-    # picked, so they are those of a column-by-column elimination.
-    octets = work.view(np.uint8)
+    # words after A. One column per step: the first row at or below r with
+    # the column's bit moves up to r and is XORed into every other row that
+    # has the bit.
     pivots: list[int] = []
-    for c0 in range(0, n, 8):
-        r0 = len(pivots)
-        if r0 == len(work):
-            break
-        # Scan the strip's octets from row r0 down for up to 8 independent
-        # rows. basis[p] is an octet found so far, reduced until its lowest
-        # bit p is that of no other, so its keys are the strip's pivot bits.
-        columns = min(8, n - c0)
-        basis: dict[int, int] = {}
-        chosen: list[int] = []
-        for i, v in enumerate((octets[r0:, c0 >> 3] & (1 << columns) - 1).tolist(), r0):
-            while v:
-                p = (v & -v).bit_length() - 1
-                if p not in basis:
-                    basis[p] = v
-                    chosen.append(i)
-                    break
-                v ^= basis[p]
-            if v and len(chosen) == columns:
-                break
-        if not chosen:
+    for c in range(n):
+        r = len(pivots)
+        has = (work[:, c >> 6] >> (c & 63) & 1).astype(bool)
+        below = np.flatnonzero(has[r:])
+        if not below.size:
             continue
-        # table[e] XORs the chosen rows that the bits of e pick. Their octets
-        # span those of rows r0 and below, and no two of their combinations
-        # agree on the pivot bits, so index[o] is the entry that agrees with
-        # octet o there. XORing it clears the pivot bits of every row and
-        # the whole strip of rows r0 and below: the chosen rows become zero,
-        # and the pivot row of bit p is table[index[1 << p]], the reduced
-        # row-echelon row with no other pivot bit.
-        keep = sum(1 << p for p in basis)
-        table = _xor_table(work[chosen])
-        index = np.zeros(256, np.intp)
-        index[table.view(np.uint8)[:, c0 >> 3] & keep] = np.arange(len(table))
-        k = len(chosen)
-        # Rows r0..r0+k-1 that were not chosen move to the places of the
-        # chosen rows below them.
-        moved = [i for i in chosen if i >= r0 + k]
-        if moved:
-            work[moved] = work[[r for r in range(r0, r0 + k) if r not in chosen]]
-        work ^= table.take(index[octets[:, c0 >> 3] & keep], axis=0)
-        order = sorted(basis)
-        work[r0:r0 + k] = table.take(index[[1 << p for p in order]], axis=0)
-        pivots.extend(c0 + p for p in order)
+        p = r + int(below[0])
+        work[[r, p]] = work[[p, r]]
+        # Row p now holds the old row r, which lacks the bit unless p == r,
+        # and row r must not clear itself.
+        has[p] = False
+        work[has] ^= work[r]
+        pivots.append(c)
     return pivots

@@ -162,8 +162,10 @@ def test_kpa_uniform_block_zero_key():
 
 
 def test_recover_singular_oracle_raises():
-    with pytest.raises(SingularMapError, match="recovered cipher matrix is singular"):
+    with pytest.raises(SingularMapError, match="recovered cipher matrix is singular") as err:
         recover_linear_map(lambda b: bytes(len(b)))
+    # the zero map is R-linear, so the M^8 check is the one that fails
+    assert str(err.value.__cause__) == "M^8 is not I: it moves basis state 0"
 
 
 @pytest.mark.parametrize("reply", [0, 64, 32767, 32769, 65536])
@@ -172,19 +174,71 @@ def test_recover_rejects_reply_of_wrong_length(reply):
         recover_linear_map(lambda b: bytes(reply))
 
 
-def test_attack_eliminates_once(monkeypatch):
-    # Recovery inverts the matrix once; kpa_decrypt reuses that inverse and
-    # no separate rank pass runs.
+def test_attack_inverts_without_elimination(monkeypatch):
+    # The inverse is M^7 on the 64 cell columns: six products, and a
+    # seventh that checks M^8 = I, while building. kpa_decrypt reuses that
+    # inverse, one product per call, and nothing eliminates.
     calls = []
-    rank, invert = gf2.rank, gf2.invert
-    monkeypatch.setattr(gf2, "rank", lambda *a: calls.append("rank") or rank(*a))
-    monkeypatch.setattr(gf2, "invert", lambda *a: calls.append("invert") or invert(*a))
+    for name in ("rank", "invert", "mat_vec"):
+        original = getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda *a, _name=name, _f=original:
+                            calls.append(_name) or _f(*a))
     rng = random.Random(84)
     key = random_key(rng)
     lm = recover_linear_map(blockwise(lambda b: encrypt_block(b, key)))
+    assert calls == ["mat_vec"] * 7
     for _ in range(100):
         kpa_decrypt(lm, rng.randbytes(64))
-    assert calls == ["invert"]
+    assert calls == ["mat_vec"] * 107
+
+
+def _batch_oracle(key):
+    return lambda blocks: batch.encrypt_blocks(blocks, key).tobytes()
+
+
+def test_inverse_equals_elimination_for_cipher_keys():
+    rng = random.Random(97)
+    for _ in range(20):
+        lm = recover_linear_map(_batch_oracle(random_key(rng)))
+        np.testing.assert_array_equal(lm.inverse, gf2.invert(lm.columns, 512))
+
+
+@pytest.mark.parametrize("oracle", [
+    _batch_oracle(bytes(64)),
+    lambda blocks: blocks,
+    blockwise(xor_layer_encrypt),
+], ids=["zero-key", "identity", "mix-layer"])
+def test_inverse_equals_elimination_for_special_maps(oracle):
+    lm = recover_linear_map(oracle)
+    np.testing.assert_array_equal(lm.inverse, gf2.invert(lm.columns, 512))
+
+
+def _swap01(blocks):
+    # Swaps bits 0 and 1 of octet 0: rank 512 and M^2 = I, but not R-linear.
+    a = np.frombuffer(blocks, np.uint8).reshape(-1, 64).copy()
+    o = a[:, 0]
+    a[:, 0] = o & 0xFC | (o & 1) << 1 | (o >> 1) & 1
+    return a.tobytes()
+
+
+def _cycle3(blocks):
+    # Moves cell 0 to 1, 1 to 2 and 2 to 0: rank 512 and R-linear, but
+    # M^3 = I, so M^8 = M^2 is not I.
+    a = np.frombuffer(blocks, np.uint8).reshape(-1, 64).copy()
+    a[:, [1, 2, 0]] = a[:, [0, 1, 2]]
+    return a.tobytes()
+
+
+@pytest.mark.parametrize("oracle, cause", [
+    (_swap01, "not R-linear: column 1 is not column 0 rotated left by 1"),
+    (_cycle3, "M^8 is not I: it moves basis state 0"),
+], ids=["swap01", "cycle3"])
+def test_nonsingular_maps_outside_the_contract_raise(oracle, cause):
+    basis = b"".join((1 << c).to_bytes(64, "little") for c in range(512))
+    assert gf2.rank(np.frombuffer(oracle(basis), "<u8").reshape(512, 8), 512) == 512
+    with pytest.raises(SingularMapError, match=r"singular or not R-linear with M\^8 = I") as err:
+        recover_linear_map(oracle)
+    assert str(err.value.__cause__) == cause
 
 
 # --- linearity check ---------------------------------------------------------

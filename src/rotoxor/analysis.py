@@ -3,7 +3,8 @@
 Covers the avalanche effect for plaintext and key changes, repeated-block
 distinctness under the session-key chain, data-independent timing, key-space
 accounting, and a chosen-plaintext attack that recovers the fixed-key cipher
-as a 512x512 GF(2) matrix and then decrypts without the key.
+as a 512x512 GF(2) matrix, decrypts without the key, and checks those
+decryptions against the key's own.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import SingularMapError
 from .keys import _check_key, session_key_chain
 
 STATE_BITS = 512
-# Every report, and the attack's check in cli, runs its trials this many at
-# a time, so memory is bounded whatever the trial count; the default 1000
+# Every report, the attack's check included, runs its trials this many at a
+# time, so memory is bounded whatever the trial count; the default 1000
 # trials fit in one chunk.
 _TRIAL_CHUNK = 1024
 # _POPCOUNT[b] is the number of set bits in octet b.
@@ -96,13 +97,10 @@ def recover_linear_map(encrypt_oracle: Callable[[bytes], bytes]) -> LinearMap512
     with the failed check as its cause; for this construction either
     signals a broken implementation.
     """
-    bit = np.arange(STATE_BITS)
-    basis = np.zeros((STATE_BITS, 64), np.uint8)
-    basis[bit, bit >> 3] = 1 << (bit & 7)
-    replies = encrypt_oracle(basis.tobytes())
-    if len(replies) != basis.size:
+    replies = encrypt_oracle(_BIT_BASIS.tobytes())
+    if len(replies) != _BIT_BASIS.size:
         raise ValueError(f"oracle must answer the {STATE_BITS} basis states with "
-                         f"{basis.size} octets, got {len(replies)}")
+                         f"{_BIT_BASIS.size} octets, got {len(replies)}")
     try:
         return LinearMap512(np.frombuffer(replies, "<u8").reshape(STATE_BITS, -1))
     except SingularMapError as err:
@@ -130,7 +128,7 @@ def linearity_check(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_key(bytes(session_key))
+    _check_key(session_key)
     encrypt = batch.encrypt_blocks
     if encrypt(np.zeros((1, 64), np.uint8), session_key).any():
         return False, (bytes(64), bytes(64))
@@ -163,7 +161,7 @@ class AvalancheReport:
     mode: str = "plaintext-sample"
 
     def as_lines(self) -> list[str]:
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        return _field_lines(self)
 
 
 def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> AvalancheReport:
@@ -173,7 +171,7 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
     matrix column p whatever the base state, so the sampled distribution is
     exactly the column-weight distribution under random position choice.
     """
-    _check_key(bytes(session_key))
+    _check_key(session_key)
     rng = random.Random()
     reseed, randbytes, randrange = _seeder(rng), rng.randbytes, rng.randrange
     histogram = np.zeros(STATE_BITS + 1, np.int64)
@@ -184,17 +182,17 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
             states += randbytes(64)
             positions.append(randrange(STATE_BITS))
         base = np.frombuffer(states, np.uint8).reshape(-1, 64)
-        histogram += _distance_histogram(
-            base, session_key, _flip_bits(base, positions), session_key)
+        flipped = base ^ _BIT_BASIS.take(positions, axis=0)
+        histogram += _distance_histogram(base, session_key, flipped, session_key)
     return _avalanche_report(histogram, seed, "plaintext-sample")
 
 
 def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
     """Sample key sensitivity: change one key digit to a different value per trial."""
-    _check_key(bytes(master))
+    master = _check_key(master)
     # choice() draws from others[p], the seven digits other than the master's at p.
     others = [[d for d in range(8) if d != digit] for digit in master]
-    master_row = np.frombuffer(bytes(master), np.uint8)
+    master_row = np.frombuffer(master, np.uint8)
     rng = random.Random()
     reseed, randbytes, randrange, choice = _seeder(rng), rng.randbytes, rng.randrange, rng.choice
     histogram = np.zeros(STATE_BITS + 1, np.int64)
@@ -211,6 +209,55 @@ def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
         mutated[np.arange(len(base)), positions] = replacements
         histogram += _distance_histogram(base, master, base, mutated)
     return _avalanche_report(histogram, seed, "key-sample")
+
+
+@dataclass
+class AttackReport:
+    """The attack's result: the recovered map's decryptions checked against the key's."""
+
+    oracle_calls: int
+    # Always "yes": recover_linear_map raises on a map it cannot invert.
+    matrix_nonsingular: str
+    verified_blocks: int
+    mismatches: int
+    mean_column_weight: float
+    seed: int
+
+    def as_lines(self) -> list[str]:
+        verdict = "recovered map FAILED verification" if self.mismatches else \
+            f"recovered map verified on {self.verified_blocks} blocks"
+        return _field_lines(self) + [verdict]
+
+
+def attack_report(session_key: bytes, trials: int, seed: int) -> AttackReport:
+    """Recover the cipher matrix under one session key, then check it on random blocks.
+
+    The oracle is batch.encrypt_blocks under the key, and it counts the
+    blocks it answers. ``trials`` blocks from Random(seed).randbytes, drawn
+    one chunk at a time, go through kpa_decrypt, and each that differs from
+    batch.decrypt_blocks under the key counts as a mismatch. The functions
+    are looked up when the report runs.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    session_key = _check_key(session_key)
+    oracle_calls = 0
+
+    def oracle(blocks: bytes) -> bytes:
+        nonlocal oracle_calls
+        oracle_calls += len(blocks) // 64
+        return batch.encrypt_blocks(blocks, session_key).tobytes()
+
+    linear_map = recover_linear_map(oracle)
+    rng = random.Random(seed)
+    mismatches = 0
+    for n in _chunk_sizes(trials):
+        ciphertext = rng.randbytes(64 * n)
+        recovered = np.frombuffer(kpa_decrypt(linear_map, ciphertext), np.uint8)
+        expected = batch.decrypt_blocks(ciphertext, session_key)
+        mismatches += int((recovered.reshape(-1, 64) != expected).any(axis=1).sum())
+    return AttackReport(oracle_calls, "yes", trials, mismatches,
+                        linear_map.mean_column_weight(), seed)
 
 
 @dataclass
@@ -276,7 +323,7 @@ class TimingReport:
     data_independent: bool
 
     def as_lines(self) -> list[str]:
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        return _field_lines(self)
 
 
 _BENCH_KEY = bytes(random.Random(0).choices(range(8), k=64))
@@ -390,13 +437,15 @@ def _rotations(cells: np.ndarray) -> np.ndarray:
     return ((r << j) | (r >> ((8 - j) & 7))).reshape(STATE_BITS, -1).view("<u8")
 
 
-def _flip_bits(states: np.ndarray, positions) -> np.ndarray:
-    # Copy of the (N, 64) states with bit positions[i] of row i flipped;
-    # state bit p is bit p & 7 (LSB first) of octet p >> 3.
-    pos = np.fromiter(positions, dtype=np.intp)
-    out = states.copy()
-    out[np.arange(len(pos)), pos >> 3] ^= (1 << (pos & 7)).astype(np.uint8)
-    return out
+# Row p is the single-bit basis state p, bit p & 7 (LSB first) of octet
+# p >> 3: state 8i + j is x^j times state 8i, so it is cell basis state i
+# rotated left by j. It is the attack's query and the avalanche's flips.
+_BIT_BASIS = _rotations(_CELL_BASIS).view(np.uint8)
+
+
+def _field_lines(report) -> list[str]:
+    # One name=value line per dataclass field, in field order.
+    return [f"{f.name}={getattr(report, f.name)}" for f in fields(report)]
 
 
 def _distance_histogram(states_a, keys_a, states_b, keys_b) -> np.ndarray:

@@ -21,8 +21,7 @@ session key can therefore decrypt under it: D_k = E_k^7.
 
 from __future__ import annotations
 
-from . import keys
-from .keys import ROUNDS, derive_round_key
+from .keys import ROUNDS, _check_key, derive_round_key
 
 BLOCK_SIZE = 64
 
@@ -111,8 +110,3 @@ def _check_state(state: bytes) -> bytes:
         raise ValueError(f"state must be exactly {BLOCK_SIZE} octets, got {len(s)}")
     return s
 
-
-def _check_key(key: bytes) -> bytes:
-    k = bytes(key)
-    keys._check_key(k)
-    return k

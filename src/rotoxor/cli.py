@@ -13,9 +13,7 @@ import random
 import sys
 import tempfile
 
-import numpy as np
-
-from . import analysis, batch, codec, keys
+from . import analysis, codec, keys
 # Unused here; perfbench/spans.py traces these two names by lookup, so they stay.
 from .cipher import decrypt_block, encrypt_block  # noqa: F401
 from .errors import (
@@ -198,40 +196,9 @@ def _run_analyze(args) -> int:
         content = random.Random(args.seed).randbytes(64)
         _print_lines(analysis.repeated_block_report(key, content, trials).as_lines())
         return EXIT_OK
-    return _run_attack(key, trials, args.seed)
-
-
-def _run_attack(key: bytes, trials: int, seed: int) -> int:
-    oracle_calls = 0
-
-    def oracle(blocks: bytes) -> bytes:
-        nonlocal oracle_calls
-        oracle_calls += len(blocks) // 64
-        return batch.encrypt_blocks(blocks, key).tobytes()
-
-    linear_map = analysis.recover_linear_map(oracle)
-    rng = random.Random(seed)
-    mismatches = 0
-    # The trial blocks are checked one chunk at a time, so memory stays
-    # bounded whatever --trials is.
-    for n in analysis._chunk_sizes(trials):
-        ciphertext = rng.randbytes(64 * n)
-        recovered = np.frombuffer(analysis.kpa_decrypt(linear_map, ciphertext), np.uint8)
-        expected = batch.decrypt_blocks(ciphertext, key)
-        mismatches += int((recovered.reshape(-1, 64) != expected).any(axis=1).sum())
-    _print_lines([
-        f"oracle_calls={oracle_calls}",
-        "matrix_nonsingular=yes",
-        f"verified_blocks={trials}",
-        f"mismatches={mismatches}",
-        f"mean_column_weight={linear_map.mean_column_weight()}",
-        f"seed={seed}",
-    ])
-    if mismatches:
-        print("recovered map FAILED verification")
-        return EXIT_VERIFY
-    print(f"recovered map verified on {trials} blocks")
-    return EXIT_OK
+    report = analysis.attack_report(key, trials, args.seed)
+    _print_lines(report.as_lines())
+    return EXIT_VERIFY if report.mismatches else EXIT_OK
 
 
 def _run_bench(args) -> int:

@@ -66,8 +66,7 @@ def parse_master_key(text: str) -> bytes:
 
 def format_key(key: bytes) -> str:
     """Render a key back to its 64-character text form."""
-    _check_key(key)
-    return "".join(chr(d + ord("0")) for d in key)
+    return "".join(chr(d + ord("0")) for d in _check_key(key))
 
 
 def read_key_file(path) -> bytes:
@@ -107,8 +106,7 @@ def session_key_chain(master: bytes) -> Iterator[bytes]:
     once, from the closed form; from the first ZERO_KEY on, the chain's
     fixed point, the generator yields ZERO_KEY itself with no further work.
     """
-    key = bytes(master)
-    _check_key(key)
+    key = _check_key(master)
     yield key
     if key != ZERO_KEY:
         yield from takewhile(ZERO_KEY.__ne__, _chain_keys(key))
@@ -138,8 +136,11 @@ def _chain_keys(key: bytes) -> list[bytes]:
     return [data[i:i + KEY_DIGITS] for i in range(0, len(data), KEY_DIGITS)]
 
 
-def _check_key(key: bytes) -> None:
-    if len(key) != KEY_DIGITS:
-        raise ValueError(f"key must have exactly {KEY_DIGITS} digits, got {len(key)}")
-    if max(key) >= DIGIT_BASE:
+def _check_key(key: bytes) -> bytes:
+    # The key as bytes, once its length and digits are checked.
+    k = bytes(key)
+    if len(k) != KEY_DIGITS:
+        raise ValueError(f"key must have exactly {KEY_DIGITS} digits, got {len(k)}")
+    if max(k) >= DIGIT_BASE:
         raise ValueError("key digits must lie in 0..7")
+    return k

@@ -8,6 +8,7 @@ import pytest
 from rotoxor import analysis, batch, gf2
 from rotoxor.analysis import (
     LinearMap512,
+    attack_report,
     avalanche_key,
     avalanche_plaintext,
     bench_throughput,
@@ -290,6 +291,12 @@ def test_linearity_trials_validation():
         linearity_check(bytes(64), 0, 1)
 
 
+def test_attack_trials_validation():
+    # Zero trials would read "verified on 0 blocks".
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        attack_report(bytes(64), 0, 1)
+
+
 # --- avalanche reports -------------------------------------------------------
 
 def test_avalanche_plaintext_deterministic():
@@ -386,6 +393,8 @@ def _linearity_check_keyless_transform(key):
     lambda key: avalanche_key(key, 5, 1),
     lambda key: linearity_check(key, 5, 1),
     lambda key: repeated_block_report(key, bytes(64), 3),
+    # a digit of 8 would otherwise surface as a singular recovered map
+    lambda key: attack_report(key, 5, 1),
 ])
 def test_reports_reject_malformed_keys(report):
     with pytest.raises(ValueError, match="key digits must lie in 0..7"):

@@ -251,7 +251,7 @@ def scalar_attack_report(key, trials, seed):
         mismatches += analysis.kpa_decrypt(linear_map, ciphertext) != decrypt_block(ciphertext, key)
     verdict = "recovered map FAILED verification" if mismatches else \
         f"recovered map verified on {trials} blocks"
-    return "".join(line + "\n" for line in [
+    return [
         f"oracle_calls={calls}",
         "matrix_nonsingular=yes",
         f"verified_blocks={trials}",
@@ -259,18 +259,21 @@ def scalar_attack_report(key, trials, seed):
         f"mean_column_weight={linear_map.mean_column_weight()}",
         f"seed={seed}",
         verdict,
-    ])
+    ]
 
 
-# 2500 trials cross the CLI's 1024-block check chunk twice.
+# 2500 trials cross analysis's 1024-block check chunk twice.
 @pytest.mark.parametrize("key_seed", [304, 305])
 @pytest.mark.parametrize("seed,trials", [(0, 2500), (7, 37)])
 def test_attack_matches_scalar_restatement(key_seed, seed, trials, tmp_path):
+    assert analysis._TRIAL_CHUNK == 1024
     key = bytes(random.Random(key_seed).choices(range(8), k=64))
+    expected = scalar_attack_report(key, trials, seed)
+    assert analysis.attack_report(key, trials, seed).as_lines() == expected
     key_file = tmp_path / "key.txt"
     key_file.write_text(keys.format_key(key) + "\n")
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert cli.main(["analyze", "attack", "--key", str(key_file), "--seed", str(seed),
                          "--trials", str(trials)]) == 0
-    assert buf.getvalue() == scalar_attack_report(key, trials, seed)
+    assert buf.getvalue() == "".join(line + "\n" for line in expected)

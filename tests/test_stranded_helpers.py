@@ -5,7 +5,8 @@ these checks find it by reading the package's source with ``ast``. A
 private name must have a use in the package. A public one must have a use
 in a package module other than ``__init__``, or be exported by
 ``rotoxor.__all__``, or be listed in ``UNUSED_PUBLIC`` with the reason it
-stays.
+stays. A private name that one module uses from another is listed in
+``CROSS_MODULE_PRIVATE`` with its reason.
 """
 
 import ast
@@ -24,6 +25,23 @@ UNUSED_PUBLIC = {
                 "perfbench/spans.py traces it by name",
     "gf2.invert": "the elimination oracle that the attack's M^7 inverse must equal; "
                   "perfbench/spans.py traces it by name",
+}
+
+# Private names one package module uses from another ("user: owner.name"),
+# each with the reason it is shared. The list must match exactly, so a new
+# reach into another module's private names fails until it is listed.
+_CODEC_FILE_PATH = "the CLI's one-buffer file path, until the codec has a public file API"
+CROSS_MODULE_PRIVATE = {
+    "batch: cipher._NEIGH_1": "the mix tables are built from the spec's own neighbourhoods",
+    "batch: cipher._NEIGH_2": "the inverse mix's second pass is the spec's distance-2 table",
+    "batch: keys._ROW_ROTATIONS": "rows 1 and 7 are the one-column shifts folded into "
+                                  "the mix tables",
+    "cipher: keys._check_key": "one key check serves the scalar reference and the key module",
+    "analysis: keys._check_key": "the reports check the key before drawing any trial",
+    "cli: codec._encrypt_buffer": _CODEC_FILE_PATH,
+    "cli: codec._decrypt_buffer": _CODEC_FILE_PATH,
+    "cli: codec._encode_buffer": _CODEC_FILE_PATH,
+    "cli: codec._decode_buffer": _CODEC_FILE_PATH,
 }
 
 
@@ -87,3 +105,24 @@ def test_every_public_name_is_used_exported_or_listed():
     assert unused == set(UNUSED_PUBLIC)
     assert all(UNUSED_PUBLIC.values())
     assert len(definitions) > 50  # the walk found the package's public names
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_names_cross_modules_only_as_listed():
+    # `from .owner import _name`, or `owner._name` with owner a package module.
+    modules = _modules()
+    crossings = set()
+    for user, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in modules:
+                crossings.update(f"{user}: {node.module}.{a.name}" for a in node.names
+                                 if _is_private(a.name))
+            elif (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules
+                  and node.value.id != user):
+                crossings.add(f"{user}: {node.value.id}.{node.attr}")
+    assert crossings == set(CROSS_MODULE_PRIVATE)
+    assert all(CROSS_MODULE_PRIVATE.values())

@@ -52,12 +52,15 @@ class LinearMap512:
 
     - R-linearity: column 8i + j is column 8i with every octet rotated left
       by j, since basis state 8i + j is x^j times basis state 8i;
-    - M^8 = I: eight products with M return each of the 64 cell basis
-      states 8i, which with R-linearity gives every column.
+    - M^8 = I: M^8 returns each of the 64 cell basis states 8i, which
+      with R-linearity gives every column.
 
-    Six products by M take the 64 cell columns to M^7 on the cells, and the
-    same rotations expand that to all 512 columns of the inverse. A
-    nonsingular matrix outside that class is refused too.
+    M^7 on the cells comes by squaring in three products: M times the 64
+    cell columns gives M^2; M^2 (its columns rotated from its cells, as it
+    is R-linear too) times M and M^2 gives M^3 and M^4; M^4 times those
+    gives M^7 and M^8, whose cells must be the cell basis. The same
+    rotations expand M^7 to all 512 columns of the inverse. A nonsingular
+    matrix outside that class is refused too.
     """
 
     def __init__(self, columns: np.ndarray):
@@ -70,14 +73,15 @@ class LinearMap512:
             c = int(wrong.argmax())
             raise SingularMapError(f"not R-linear: column {c} is not column {c & ~7} "
                                    f"rotated left by {c & 7}")
-        power = cells
-        for _ in range(6):
-            power = gf2.mat_vec(columns, power)
-        moved = (gf2.mat_vec(columns, power) != _CELL_BASIS).any(axis=1)
+        # c<k> stacks M^k of the 64 cell basis states; cells is M^1.
+        c2 = gf2.mat_vec(columns, cells)
+        c34 = gf2.mat_vec(_rotations(c2), np.vstack([cells, c2]))
+        c78 = gf2.mat_vec(_rotations(c34[64:]), c34)
+        moved = (c78[64:] != _CELL_BASIS).any(axis=1)
         if moved.any():
             raise SingularMapError(f"M^8 is not I: it moves basis state {8 * int(moved.argmax())}")
         self.columns = columns
-        self.inverse = _rotations(power)
+        self.inverse = _rotations(c78[:64])
 
     def mean_column_weight(self) -> float:
         ones = int(_POPCOUNT[self.columns.view(np.uint8)].sum())

@@ -43,7 +43,7 @@ ZERO_KEY = bytes(KEY_DIGITS)
 # which takes rows 1 and 7 (the next and the previous column) as the
 # one-column grid shifts that it folds into its mix tables.
 _CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_BASE
-                           for r in range(8)] for t in range(1, 16)], dtype=np.uint8)
+                           for r in range(8)] for t in range(1, 16)], dtype=np.float32)
 _ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]
                            for r in range(8)])
 
@@ -128,11 +128,11 @@ def is_weak_key(key: bytes) -> bool:
 
 def _chain_keys(key: bytes) -> list[bytes]:
     # The session keys of blocks 2..16 of a valid master: (I+S)^t applied to
-    # it for t = 1..15, one row of _CHAIN_POWERS each. uint8 sums wrap mod
-    # 256, a multiple of 8, so & 7 is exact. einsum, since ``@`` on integers
-    # skips BLAS and runs a slower loop.
+    # it for t = 1..15, one row of _CHAIN_POWERS each. The product is in
+    # float32, since ``@`` on integers skips BLAS and runs a slower loop; it
+    # is exact, as every sum is at most 8 * 7 * 7 = 392.
     rotations = np.frombuffer(key, dtype=np.uint8).take(_ROW_ROTATIONS)
-    data = (np.einsum("tr,rc->tc", _CHAIN_POWERS, rotations) & 7).tobytes()
+    data = ((_CHAIN_POWERS @ rotations).astype(np.uint16) & 7).astype(np.uint8).tobytes()
     return [data[i:i + KEY_DIGITS] for i in range(0, len(data), KEY_DIGITS)]
 
 

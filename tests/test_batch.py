@@ -81,7 +81,9 @@ def _scalar(block_fn, states, keys):
     return [block_fn(s, k) for s, k in zip(blocks, array_to_blocks(keys))]
 
 
-@pytest.mark.parametrize("n", [0, 1, 6, 12, 13, 16, 17, 1000])
+# 6, 12, 13 and 17 are padded to a power of two; batch._SMALL is the last
+# size decrypted in one mix pass.
+@pytest.mark.parametrize("n", [0, 1, 6, 12, 13, 16, 17, batch._SMALL, batch._SMALL + 1, 1000])
 def test_both_directions_match_scalar_at_edge_sizes(n):
     rng = random.Random(56 + n)
     states = blocks_to_array([rng.randbytes(64) for _ in range(n)])
@@ -94,6 +96,21 @@ def test_both_directions_match_scalar_at_edge_sizes(n):
             out = fast(states, keys)
             assert out.dtype == np.uint8 and out.shape == (n, 64)
             assert array_to_blocks(out) == _scalar(slow, states, scalar_keys)
+
+
+def test_one_pass_inverse_mix_is_the_two_passes_composed():
+    # Decryption's small-N table: 17 distinct cells per column, and one
+    # gather and XOR-reduce over it equals _MIX_PREV's pass then _MIX_2's.
+    table = batch._MIX_INV_PREV
+    assert table.shape == (17, 64)
+    assert all(len(set(column)) == 17 for column in table.T.tolist())
+    rng = np.random.default_rng(59)
+    for n in (1, 5, 64):
+        x = rng.integers(0, 256, (64, n), dtype=np.uint8)
+        two = x
+        for passes in (batch._MIX_PREV, batch._MIX_2):
+            two = np.bitwise_xor.reduce(two.take(passes, axis=0), axis=0)
+        assert np.array_equal(np.bitwise_xor.reduce(x.take(table, axis=0), axis=0), two)
 
 
 def test_empty_input_as_bytes():
@@ -115,7 +132,9 @@ def test_key_count_must_be_one_or_one_per_block(n_states, n_keys):
 @pytest.mark.parametrize("fn", [batch.encrypt_blocks, batch.decrypt_blocks])
 def test_per_block_keys_peak_memory(fn):
     # The rounds need the working array, the key shifts and one mix gather:
-    # at most 10 times the states' bytes, whatever N is.
+    # at most 10 times the states' bytes above batch._SMALL blocks, where
+    # decryption gathers 5 rows per pass. At or below it, the one-pass
+    # gather's 17 rows hold at most 17 * 64 * 32 octets.
     n = 4096
     rng = random.Random(60)
     states = np.frombuffer(rng.randbytes(64 * n), dtype=np.uint8).reshape(n, 64)

@@ -49,10 +49,10 @@ def test_tracer_installs_and_restores():
 
 
 def test_tracer_counts_the_attack(capsys):
-    # One recovery (one batched query of the 512 basis states, and seven
-    # products that build the inverse as M^7 with no elimination), then one
-    # batched check and one product over the 5 trial blocks; the scalar
-    # cipher is not called.
+    # One recovery (one batched query of the 512 basis states, and three
+    # products that build the inverse as M^7 by squaring, with no
+    # elimination), then one batched check and one product over the 5 trial
+    # blocks; the scalar cipher is not called.
     tracer = _tracer()
     tracer.install()
     try:
@@ -71,7 +71,7 @@ def test_tracer_counts_the_attack(capsys):
     assert names["gf2.transpose"] == 0
     assert names["gf2.invert"] == 0
     assert names["gf2.rank"] == 0
-    assert names["gf2.mat_vec"] == 8
+    assert names["gf2.mat_vec"] == 4
 
 
 def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):

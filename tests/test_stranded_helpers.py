@@ -33,7 +33,9 @@ UNUSED_PUBLIC = {
 _CODEC_FILE_PATH = "the CLI's one-buffer file path, until the codec has a public file API"
 CROSS_MODULE_PRIVATE = {
     "batch: cipher._NEIGH_1": "the mix tables are built from the spec's own neighbourhoods",
-    "batch: cipher._NEIGH_2": "the inverse mix's second pass is the spec's distance-2 table",
+    "batch: cipher._NEIGH_2": "the spec's distance-2 table is the inverse mix's second pass "
+                              "above batch._SMALL blocks, and the one-pass 17-cell table "
+                              "at or below it is composed from it",
     "batch: keys._ROW_ROTATIONS": "rows 1 and 7 are the one-column shifts folded into "
                                   "the mix tables",
     "cipher: keys._check_key": "one key check serves the scalar reference and the key module",

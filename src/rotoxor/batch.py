@@ -38,7 +38,9 @@ Encryption shares the padding, which neither helps nor costs it there. The
 attack's check sends N >= 100, where the 17-row gather costs more than two
 5-row ones (N = 1000, per-block keys: 1.07 against 0.96 ms) and would break
 the bound of 10 times the states' bytes that tests pin on a round's
-temporaries.
+temporaries. Two one-key callers that only encrypt lie above it as well: the
+attack's query of the 512 single-bit basis states, and the plaintext
+avalanche's one call per report of the 64 cell basis states.
 """
 
 from __future__ import annotations

@@ -7,13 +7,17 @@ per block, one RNG per trial drawn in the documented order, statistics
 computed on the list of distances) over several keys and seeds with short
 chunks, and the stdlib RNG identities that let the reports draw in bulk.
 Comparing the code with itself would miss a reordered RNG draw; these
-checks would not.
+checks would not. Two more pin what stays outside the bytes: the plaintext
+avalanche encrypts only the 64 cell basis states, once per report, and the
+benchmark checks the same default digests as these tests.
 """
 
 import hashlib
+import importlib.util
 import io
 import random
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from hypothesis import strategies as st
 from rotoxor import analysis, batch, cli, keys
 from rotoxor.cipher import decrypt_block, encrypt_block
 from rotoxor.keys import session_key_chain
-from support import avalanche_report_reference, batched, blockwise, flip_bit, hamming_distance
+from support import (IDENTITY_FORM_MASTER, avalanche_report_reference, batched, blockwise,
+                     flip_bit, hamming_distance)
 
 # sha256 of the stdout of `rotoxor analyze <target>` with default options.
 DEFAULT_REPORT_SHA256 = {
@@ -55,6 +60,18 @@ def test_report_digest_across_chunk_seams(target):
     assert analysis._TRIAL_CHUNK == 1024
     digest = _report_sha256(["analyze", target, "--seed", "77", "--trials", "3001"])
     assert digest == SEAM_REPORT_SHA256[target]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_checks_the_same_default_digests():
+    # perfbench's analyze workload checks each report against its own copy
+    # of the table; the two must not drift apart.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.DEFAULT_REPORT_SHA256 == DEFAULT_REPORT_SHA256
 
 
 def _report_sha256(argv):
@@ -230,6 +247,48 @@ def test_reports_match_scalar_restatement(key, seed, monkeypatch):
     monkeypatch.setattr(batch, "encrypt_blocks", batched(_breaks_pair(*pair)))
     assert analysis.linearity_check(key, 40, seed) == (False, pair)
     assert scalar_linearity_check(_breaks_pair(*pair), key, 40, seed) == (False, pair)
+
+
+# Keys whose transform is the identity (all-zero, uniform, identity form),
+# and one of only even digits, whose transform is not but has E^4 = I. They
+# are not in CASES: under the zero key _scaled_encrypt is additive, so the
+# linearity half of that test would not fail.
+DEGENERATE_KEYS = {
+    "zero": bytes(64),
+    "uniform": bytes([5]) * 64,
+    "identity-form": IDENTITY_FORM_MASTER,
+    "even-digits": bytes(random.Random(306).choices(range(0, 8, 2), k=64)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 40])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_KEYS))
+def test_degenerate_keys_match_scalar_restatement(name, trials, monkeypatch):
+    monkeypatch.setattr(analysis, "_TRIAL_CHUNK", 7)
+    key = DEGENERATE_KEYS[name]
+    plaintext = analysis.avalanche_plaintext(key, trials, 7)
+    assert plaintext == scalar_avalanche_plaintext(key, trials, 7)
+    assert analysis.avalanche_key(key, trials, 7) == scalar_avalanche_key(key, trials, 7)
+    if name != "even-digits":
+        assert plaintext.flipped_ratio_mean == plaintext.flipped_ratio_max == 1 / 512
+
+
+def test_plaintext_avalanche_encrypts_the_cell_basis_once(monkeypatch):
+    # By linearity the report needs only the 64 cell columns' weights: one
+    # batch call of the cell basis states under the one key, whatever the
+    # trial count, and no encryption per trial.
+    encrypt, calls = batch.encrypt_blocks, []
+
+    def spy(states, session_keys):
+        calls.append((np.array(states, np.uint8), bytes(session_keys)))
+        return encrypt(states, session_keys)
+    monkeypatch.setattr(batch, "encrypt_blocks", spy)
+    key = CASES[0][0]
+    analysis.avalanche_plaintext(key, 3001, 77)
+    assert len(calls) == 1
+    states, used_key = calls[0]
+    assert np.array_equal(states, np.eye(64, dtype=np.uint8))
+    assert used_key == key
 
 
 def scalar_attack_report(key, trials, seed):

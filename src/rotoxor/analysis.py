@@ -14,7 +14,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import batch, gf2
 from .cipher import encrypt_block
 from .errors import SingularMapError
-from .keys import _check_key, session_key_chain
+from .keys import _check_key, session_keys
 
 STATE_BITS = 512
 # Every report, the attack's check included, runs its trials this many at a
@@ -304,8 +304,8 @@ def repeated_block_report(
         raise ValueError("block_count must be >= 2")
     if len(content) != 64:
         raise ValueError(f"content must be exactly 64 octets, got {len(content)}")
-    session_keys = b"".join(islice(session_key_chain(master), block_count))
-    encrypted = batch.encrypt_blocks(bytes(content) * block_count, session_keys)
+    encrypted = batch.encrypt_blocks(bytes(content) * block_count,
+                                     session_keys(master, block_count))
     ciphertexts = [row.tobytes() for row in encrypted]
     collisions = tuple(
         (a + 1, b + 1)

@@ -22,8 +22,12 @@ therefore telescope to (P^-1 M R_k)^8, and decryption is
 ``_MIX_NEXT`` reads the neighbourhood of the next column (P^-1 M) and
 ``_MIX_PREV`` that of the previous one (M P). A rotation by r is a right
 shift by r OR a left shift by 8 - r: for r = 0 that is a shift by 8, which
-numpy defines as 0 for uint8, so no mask is needed. Tests pin this path to
-the scalar one byte for byte.
+numpy defines as 0 for uint8, so no mask is needed. Both loops call the
+shift, OR and XOR-reduce ufuncs bound to locals rather than the ``>>``,
+``<<`` and ``|`` operators, which reach the same ufuncs through ndarray's
+number protocol (eight encryption rounds, 2-vCPU shared Xeon, W = 1, 8 and
+16: 28.3, 34.0 and 38.7 µs with operators; 27.1, 33.7 and 37.9 µs bound).
+Tests pin this path to the scalar one byte for byte.
 
 The size rule: up to ``_SMALL`` (32) blocks, W is N rounded up to a power of
 two, and decryption applies M^-1 P as one gather over ``_MIX_INV_PREV``, the
@@ -63,12 +67,14 @@ _SMALL = 32
 def encrypt_blocks(states, session_keys) -> np.ndarray:
     """Encrypt N blocks; ``session_keys`` is one key (64,) or one per block (N, 64).
 
+    The keys may be bytes or a uint8 array such as keys.session_keys returns.
     Any other key count raises ValueError.
     """
     x, right, left, n = _operands(states, session_keys)
+    shr, shl, bor, xor = np.right_shift, np.left_shift, np.bitwise_or, np.bitwise_xor.reduce
     for _ in range(ROUNDS):
-        x = (x >> right) | (x << left)
-        x = np.bitwise_xor.reduce(x.take(_MIX_NEXT, axis=0), axis=0)
+        x = bor(shr(x, right), shl(x, left))
+        x = xor(x.take(_MIX_NEXT, axis=0), axis=0)
     return x[:, :n].T
 
 
@@ -76,10 +82,11 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
     """Inverse of encrypt_blocks under the same keys."""
     x, right, left, n = _operands(states, session_keys)
     tables = (_MIX_INV_PREV,) if n <= _SMALL else (_MIX_PREV, _MIX_2)
+    shr, shl, bor, xor = np.right_shift, np.left_shift, np.bitwise_or, np.bitwise_xor.reduce
     for _ in range(ROUNDS):
         for table in tables:
-            x = np.bitwise_xor.reduce(x.take(table, axis=0), axis=0)
-        x = (x << right) | (x >> left)
+            x = xor(x.take(table, axis=0), axis=0)
+        x = bor(shl(x, right), shr(x, left))
     return x[:, :n].T
 
 

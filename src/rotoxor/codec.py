@@ -14,13 +14,14 @@ buffer into 64-octet blocks or join blocks into one.
 from __future__ import annotations
 
 import binascii
-from itertools import islice
 from typing import Sequence
 
 from . import batch
 from .cipher import BLOCK_SIZE
 from .errors import BlockSizeError, DecodeError, PaddingError
-from .keys import LIVE_BLOCKS, session_key_chain
+from .keys import LIVE_BLOCKS, session_keys
+# Unused here; perfbench/spans.py traces this name by lookup, so it stays.
+from .keys import session_key_chain  # noqa: F401
 
 SENTINEL = b"###"
 
@@ -115,8 +116,9 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
 def _encrypt_buffer(message, master: bytes, filler_source) -> bytearray:
     # Pad, encrypt the live head in place, and leave the tail as padded.
     padded = pad_message(message, filler_source)
-    head = min(len(padded) // BLOCK_SIZE, LIVE_BLOCKS) * BLOCK_SIZE
-    padded[:head] = batch.encrypt_blocks(padded[:head], _head_keys(master, head)).tobytes()
+    blocks = min(len(padded) // BLOCK_SIZE, LIVE_BLOCKS)
+    head = blocks * BLOCK_SIZE
+    padded[:head] = batch.encrypt_blocks(padded[:head], session_keys(master, blocks)).tobytes()
     return padded
 
 
@@ -126,9 +128,10 @@ def _decrypt_buffer(data, master: bytes) -> memoryview:
     # octets before the final block, so unpadding reads the last two blocks.
     if not data:
         raise BlockSizeError("ciphertext stream is empty")
-    head = min(len(data) // BLOCK_SIZE, LIVE_BLOCKS) * BLOCK_SIZE
+    blocks = min(len(data) // BLOCK_SIZE, LIVE_BLOCKS)
+    head = blocks * BLOCK_SIZE
     out = bytearray(data)
-    out[:head] = batch.decrypt_blocks(out[:head], _head_keys(master, head)).tobytes()
+    out[:head] = batch.decrypt_blocks(out[:head], session_keys(master, blocks)).tobytes()
     start = max(0, len(out) - 2 * BLOCK_SIZE)
     cut = start + len(unpad_message(memoryview(out)[start:]))
     return memoryview(out)[:cut]
@@ -159,11 +162,6 @@ def _decode_buffer(data: bytes, encoding: str) -> bytes:
             f"decoded length {len(decoded)} is not a multiple of {BLOCK_SIZE}"
         )
     return decoded
-
-
-def _head_keys(master: bytes, head: int) -> bytes:
-    # Session keys of the blocks in the first ``head`` octets.
-    return b"".join(islice(session_key_chain(master), head // BLOCK_SIZE))
 
 
 def _split_blocks(data) -> list[bytes]:

@@ -4,6 +4,7 @@ perfbench/spans.py wraps module attributes by name for traced runs. A name
 the package drops or renames would otherwise break only `--trace 1` runs.
 """
 
+import ast
 import importlib.util
 import random
 from collections import Counter
@@ -13,6 +14,17 @@ from types import SimpleNamespace
 from rotoxor import analysis, batch, cipher, cli, codec, gf2, keys
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# Names a package module imports only so that the tracer can patch them
+# there, each with the reason no call goes through it. The list must match
+# exactly, so a name that gains a use or goes leaves it.
+TRACER_ONLY = {
+    "cli.encrypt_block": "the attack's chosen-plaintext oracle is analysis.attack_report's, "
+                         "on batch",
+    "cli.decrypt_block": "the attack's check is analysis.attack_report's, on batch",
+    "codec.session_key_chain": "the codec takes the head's keys as one keys.session_keys "
+                               "array",
+}
 
 
 def _load_tracer_class():
@@ -74,10 +86,15 @@ def test_tracer_counts_the_attack(capsys):
     assert names["gf2.mat_vec"] == 4
 
 
-def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):
+def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path, monkeypatch):
     # `rotoxor encrypt`/`decrypt` run the codec on one buffer: one batch call
-    # each way, the key chain and pad/unpad looked up by name, and none of
-    # the block-list functions (whose tracer attributes expect a list).
+    # each way, pad/unpad looked up by name, and none of the block-list
+    # functions (whose tracer attributes expect a list). The head's keys
+    # come from one keys.session_keys call each way, counted at the name the
+    # codec looks up, and none through the traced codec.session_key_chain.
+    drawn = []
+    monkeypatch.setattr(codec, "session_keys", lambda master, n: drawn.append(n)
+                        or keys.session_keys(master, n))
     key, src, ct, out = (tmp_path / name for name in ("key", "m", "ct", "out"))
     assert cli.main(["keygen", "--seed", "4", "--out", str(key)]) == 0
     msg = random.Random(8).randbytes(2000)
@@ -99,12 +116,27 @@ def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path):
         assert names["cli.main"] == 2
         assert names["batch.encrypt_blocks"] == names["batch.decrypt_blocks"] == 1
         assert names["codec.pad_message"] == names["codec.unpad_message"] == 1
-        # the 32-block file draws the live head's keys only, each way
-        drawn = [span[6]["keys"] for span in tracer.spans
-                 if span[5] == request and span[1] == "keys.session_key_chain"]
-        assert drawn == [keys.LIVE_BLOCKS] * 2
+        assert names["keys.session_key_chain"] == 0
         for fn in ("encrypt_message", "decrypt_message", "encode_stream", "decode_stream"):
             assert names[f"codec.{fn}"] == 0
+    # the 32-block file draws the live head's keys only, each way
+    assert drawn == [keys.LIVE_BLOCKS] * 2 * len(codec.ENCODINGS)
     metrics = tracer.metrics(3)
     assert metrics["batch.encrypt_blocks.calls"] == metrics["batch.decrypt_blocks.calls"] == 1
     assert metrics["cli.main.self_ms.encrypt"] > 0
+
+
+def test_tracer_only_imports_are_listed():
+    # A patched (module, attr) that the module imports but never loads is
+    # kept for the tracer alone; its patch records nothing.
+    tracer_only = set()
+    for module, attr, _original, _wrapper in _tracer().patches:
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = any(isinstance(node, ast.ImportFrom) and attr in (a.name for a in node.names)
+                       for node in tree.body)
+        loaded = any(isinstance(node, ast.Name) and node.id == attr
+                     and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+        if imported and not loaded:
+            tracer_only.add(f"{module.__name__.rpartition('.')[2]}.{attr}")
+    assert tracer_only == set(TRACER_ONLY)
+    assert all(TRACER_ONLY.values())

@@ -266,6 +266,25 @@ def test_message_round_trip_sends_at_most_16_blocks(monkeypatch):
             assert sent == {"encrypt": [expected], "decrypt": [expected]}, (key, length)
 
 
+def test_each_message_direction_draws_its_head_keys_once(monkeypatch):
+    # One session_keys call per direction, for the live head's blocks only;
+    # no key is drawn from the session_key_chain generator.
+    drawn = []
+    monkeypatch.setattr(codec, "session_keys", lambda master, n: drawn.append(n)
+                        or keys.session_keys(master, n))
+    monkeypatch.setattr(codec, "session_key_chain", None)
+    rng = random.Random(73)
+    key = random_key(rng)
+    cases = ((0, 1), (61, 1), (62, 2), (5 * 64, 6), (12 * 64 - 3, 12), (1 << 16, 12))
+    for length, blocks in cases:
+        msg = rng.randbytes(length)
+        stream = encrypt_message(msg, key, rng)
+        assert drawn == [blocks]
+        assert decrypt_message(stream, key) == msg
+        assert drawn == [blocks, blocks]
+        drawn.clear()
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_encode_round_trips():

@@ -215,10 +215,10 @@ def test_zero_key_is_chain_fixed_point():
 def test_chain_stops_stepping_at_zero_key(monkeypatch):
     # A uniform 4 key doubles to all-zero in one step; zero is a fixed
     # point, so from there on the chain yields ZERO_KEY itself and computes
-    # nothing more.
+    # nothing more: one product for the uniform-4 master, none for zero.
     calls = []
-    chain_keys = keys._chain_keys
-    monkeypatch.setattr(keys, "_chain_keys", lambda *a: calls.append(a) or chain_keys(*a))
+    product = keys.session_keys
+    monkeypatch.setattr(keys, "session_keys", lambda *a: calls.append(a) or product(*a))
     chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
     assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
     assert all(key is keys.ZERO_KEY for key in chain[1:])
@@ -335,3 +335,57 @@ def test_chain_rejects_malformed_keys():
         with pytest.raises(ValueError) as err:
             next(chain)
         assert str(err.value) == message
+
+
+# --- the chain as one array ---------------------------------------------------
+
+def _session_key_masters():
+    rng = random.Random(33)
+    return ([random_key(rng) for _ in range(5)]
+            + [bytes(64), bytes([4]) * 64, bytes([7]) * 64, IDENTITY_FORM_MASTER, ROW_01234567])
+
+
+def test_session_keys_are_the_chain_rows():
+    for master in _session_key_masters():
+        for n in range(41):
+            rows = keys.session_keys(master, n)
+            assert rows.dtype == np.uint8 and rows.shape == (n, 64)
+            assert [row.tobytes() for row in rows] == list(
+                islice(keys.session_key_chain(master), n)), (master, n)
+
+
+def test_session_keys_past_block_16_are_zero():
+    for master in _session_key_masters():
+        rows = keys.session_keys(master, 40)
+        assert not rows[16:].any()
+        assert np.array_equal(rows[:16], keys.session_keys(master, 16))
+
+
+def test_one_session_key_computes_no_product(monkeypatch):
+    products = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *a: products.append(a) or dot(*a))
+    master = ROW_01234567
+    assert keys.session_keys(bytearray(master), 1).tobytes() == master
+    assert keys.session_keys(master, 0).shape == (0, 64)
+    assert products == []
+    keys.session_keys(master, 2)
+    keys.session_keys(master, 40)
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 40])
+@pytest.mark.parametrize("master", [bytes(63), bytes(65), bytes([8]) * 64, bytes([9]) * 64])
+def test_session_keys_reject_the_chains_bad_keys(master, n):
+    with pytest.raises(ValueError) as chain_error:
+        list(islice(keys.session_key_chain(master), n))
+    with pytest.raises(ValueError) as array_error:
+        keys.session_keys(master, n)
+    assert str(array_error.value) == str(chain_error.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes), st.integers(0, 40))
+def test_session_keys_match_step_by_step_reference(master, n):
+    expected = chain_reference(master, n)
+    assert [row.tobytes() for row in keys.session_keys(master, n)] == expected

@@ -222,9 +222,10 @@ def _breaks_pair(x, y):
 
 CASES = [(bytes(random.Random(k).choices(range(8), k=64)), seed)
          for k in (301, 302, 303) for seed in (0, 7)]
+CASE_IDS = [f"key{k}-seed{seed}" for k in (301, 302, 303) for seed in (0, 7)]
 
 
-@pytest.mark.parametrize("key,seed", CASES)
+@pytest.mark.parametrize("key,seed", CASES, ids=CASE_IDS)
 def test_reports_match_scalar_restatement(key, seed, monkeypatch):
     # Chunks of 7 trials: 40 trials cross five seams.
     monkeypatch.setattr(analysis, "_TRIAL_CHUNK", 7)

@@ -130,17 +130,16 @@ def linearity_check(
     check runs. Every x is drawn from Random(seed) before every y; a second
     Random(seed) skips the x draws, so both streams run chunk by chunk.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _chunk_sizes(trials)
     _check_key(session_key)
     encrypt = batch.encrypt_blocks
     if encrypt(np.zeros((1, 64), np.uint8), session_key).any():
         return False, (bytes(64), bytes(64))
     x_rng, y_rng = random.Random(seed), random.Random(seed)
-    for n in _chunk_sizes(trials):
+    for n in sizes:
         # 512 bits advance the stream exactly as randbytes(64) does.
         y_rng.getrandbits(STATE_BITS * n)
-    for n in _chunk_sizes(trials):
+    for n in sizes:
         xs, ys = x_rng.randbytes(64 * n), y_rng.randbytes(64 * n)
         ax = np.frombuffer(xs, np.uint8).reshape(n, 64)
         ay = np.frombuffer(ys, np.uint8).reshape(n, 64)
@@ -248,8 +247,7 @@ def attack_report(session_key: bytes, trials: int, seed: int) -> AttackReport:
     batch.decrypt_blocks under the key counts as a mismatch. The functions
     are looked up when the report runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _chunk_sizes(trials)
     session_key = _check_key(session_key)
     oracle_calls = 0
 
@@ -261,7 +259,7 @@ def attack_report(session_key: bytes, trials: int, seed: int) -> AttackReport:
     linear_map = recover_linear_map(oracle)
     rng = random.Random(seed)
     mismatches = 0
-    for n in _chunk_sizes(trials):
+    for n in sizes:
         ciphertext = rng.randbytes(64 * n)
         recovered = np.frombuffer(kpa_decrypt(linear_map, ciphertext), np.uint8)
         expected = batch.decrypt_blocks(ciphertext, session_key)
@@ -414,10 +412,12 @@ def keyspace_report() -> str:
     return "\n".join(lines)
 
 
-def _chunk_sizes(trials: int) -> Iterator[int]:
+def _chunk_sizes(trials: int) -> list[int]:
     # The trial count split into _TRIAL_CHUNK-sized runs, the last one short.
-    for done in range(0, trials, _TRIAL_CHUNK):
-        yield min(_TRIAL_CHUNK, trials - done)
+    # Every report's trial count is checked here.
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [min(_TRIAL_CHUNK, trials - done) for done in range(0, trials, _TRIAL_CHUNK)]
 
 
 def _trial_seeds(seed: int, trials: int) -> Iterator[list[int]]:
@@ -425,8 +425,6 @@ def _trial_seeds(seed: int, trials: int) -> Iterator[list[int]]:
     # execution) cannot change the report. Each chunk's sub-seeds are one
     # getrandbits(64 * n) from the master, whose little-endian 64-bit words
     # are the values of n getrandbits(64) calls.
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     master = random.Random(seed)
     for n in _chunk_sizes(trials):
         yield np.frombuffer(master.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8").tolist()

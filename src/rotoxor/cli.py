@@ -86,27 +86,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="KEY", help="key file to write")
     p.set_defaults(func=_run_keygen)
 
-    p = sub.add_parser("encrypt", help="encrypt a file")
-    p.add_argument("--key", required=True, metavar="KEY", help="key file")
-    p.add_argument("--in", dest="in_", required=True, metavar="IN",
-                   help="plaintext file ('-' for stdin)")
-    p.add_argument("--out", required=True, metavar="OUT",
-                   help="ciphertext file ('-' for stdout)")
-    p.add_argument("--encoding", choices=codec.ENCODINGS, default="raw")
+    p = _add_file_parser(sub, "encrypt", _run_encrypt, "plaintext", "ciphertext")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the padding filler (default: OS entropy)")
     p.add_argument("--force", action="store_true",
                    help="allow raw ciphertext on a terminal")
-    p.set_defaults(func=_run_encrypt)
-
-    p = sub.add_parser("decrypt", help="decrypt a file")
-    p.add_argument("--key", required=True, metavar="KEY", help="key file")
-    p.add_argument("--in", dest="in_", required=True, metavar="IN",
-                   help="ciphertext file ('-' for stdin)")
-    p.add_argument("--out", required=True, metavar="OUT",
-                   help="plaintext file ('-' for stdout)")
-    p.add_argument("--encoding", choices=codec.ENCODINGS, default="raw")
-    p.set_defaults(func=_run_decrypt)
+    _add_file_parser(sub, "decrypt", _run_decrypt, "ciphertext", "plaintext")
 
     p = sub.add_parser("analyze", help="run one empirical report")
     p.add_argument("target", choices=ANALYZE_TARGETS)
@@ -129,11 +114,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _add_file_parser(sub, name, func, source, target) -> _Parser:
+    # encrypt and decrypt share these options; only the file roles swap.
+    p = sub.add_parser(name, help=f"{name} a file")
+    p.add_argument("--key", required=True, metavar="KEY", help="key file")
+    p.add_argument("--in", dest="in_", required=True, metavar="IN",
+                   help=f"{source} file ('-' for stdin)")
+    p.add_argument("--out", required=True, metavar="OUT",
+                   help=f"{target} file ('-' for stdout)")
+    p.add_argument("--encoding", choices=codec.ENCODINGS, default="raw")
+    p.set_defaults(func=func)
+    return p
+
+
 def _run_keygen(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     key = bytes(rng.choices(range(8), k=keys.KEY_DIGITS))
     if keys.is_weak_key(key):
-        _warn("generated key is weak (all digits identical)")
+        _warn("generated key is weak (every block is sent unchanged)")
     _write_bytes(args.out, keys.format_key(key).encode("ascii") + b"\n")
     return EXIT_OK
 
@@ -144,15 +142,9 @@ def _run_encrypt(args) -> int:
                      "refusing to write raw ciphertext to a terminal (use --force)")
     master = keys.read_key_file(args.key)
     if keys.is_weak_key(master):
-        _warn("key is weak (all digits identical); ciphertext offers no protection")
-    plaintext = _read_bytes(args.in_)
-    if plaintext.endswith(b"#"):
-        _warn("message ends with '#'; decryption cannot tell it from padding")
+        _warn("key is weak (every block is sent unchanged); ciphertext offers no protection")
     filler = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    ciphertext = codec._encrypt_buffer(plaintext, master, filler)
-    # The padded copy holds the message now; dropping it here keeps the
-    # message out of the encode step's peak.
-    del plaintext
+    ciphertext = codec._encrypt_buffer(_read_bytes(args.in_), master, filler)
     blocks = len(ciphertext) // codec.BLOCK_SIZE
     if blocks > keys.LIVE_BLOCKS:
         _warn(f"blocks {keys.LIVE_BLOCKS + 1}..{blocks} ({blocks - keys.LIVE_BLOCKS} of "
@@ -172,8 +164,6 @@ def _run_analyze(args) -> int:
     trials = args.trials
     if trials is None:
         trials = _TRIAL_DEFAULTS.get(args.target, _TRIAL_FALLBACK)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     key = keys.read_key_file(args.key) if args.key is not None \
         else bytes(random.Random(args.seed).choices(range(8), k=keys.KEY_DIGITS))
 
@@ -185,13 +175,10 @@ def _run_analyze(args) -> int:
         return EXIT_OK
     if args.target == "linearity":
         ok, pair = analysis.linearity_check(key, trials, args.seed)
-        _print_lines([f"trials={trials}", f"seed={args.seed}"])
-        if ok:
-            _print_lines(["counterexample=none", "result=PASS"])
-            return EXIT_OK
-        x, y = pair
-        _print_lines([f"counterexample={x.hex()},{y.hex()}", "result=FAIL"])
-        return EXIT_VERIFY
+        counterexample = "none" if ok else ",".join(block.hex() for block in pair)
+        _print_lines([f"trials={trials}", f"seed={args.seed}",
+                      f"counterexample={counterexample}", f"result={'PASS' if ok else 'FAIL'}"])
+        return EXIT_OK if ok else EXIT_VERIFY
     if args.target == "repeated-block":
         content = random.Random(args.seed).randbytes(64)
         _print_lines(analysis.repeated_block_report(key, content, trials).as_lines())

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism, stream handling."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -106,22 +107,33 @@ def test_empty_file_encrypts_to_one_block(tmp_path):
 
 
 def test_weak_key_warning(tmp_path, capsys):
-    weak = tmp_path / "weak.txt"
-    weak.write_text("0" * 64 + "\n")
+    # A uniform master and one of identity form both send every block
+    # unchanged; a key with distinct columns draws no warning.
     src = tmp_path / "m"
-    src.write_bytes(b"hello")
-    assert run_cli(["encrypt", "--key", str(weak), "--in", str(src),
-                    "--out", str(tmp_path / "ct")]) == 0
-    assert "weak" in capsys.readouterr().err
+    src.write_bytes(b"hello#")
+    for digits, weak in (("0" * 64, True), ("0440" * 16, True), ("01234567" * 8, False)):
+        key = tmp_path / "key.txt"
+        key.write_text(digits + "\n")
+        ct = tmp_path / "ct"
+        assert run_cli(["encrypt", "--key", str(key), "--in", str(src), "--out", str(ct)]) == 0
+        assert ("weak" in capsys.readouterr().err) == weak
+        assert ct.read_bytes().startswith(b"hello#") == weak
 
 
 def test_hash_tail_warning(tmp_path, capsys):
+    # Decryption finds the sentinel from the right and the filler holds no
+    # '#', so messages ending in '#' round-trip and draw no warning.
     key = write_key(tmp_path)
-    src = tmp_path / "m"
-    src.write_bytes(b"ends with hash#")
-    assert run_cli(["encrypt", "--key", str(key), "--in", str(src),
-                    "--out", str(tmp_path / "ct")]) == 0
-    assert "'#'" in capsys.readouterr().err
+    src, ct, out = tmp_path / "m", tmp_path / "ct", tmp_path / "out"
+    for tail in (b"#", b"##", b"###"):
+        src.write_bytes(b"ends with hash" + tail)
+        for encoding in codec.ENCODINGS:
+            assert run_cli(["encrypt", "--key", str(key), "--in", str(src),
+                            "--out", str(ct), "--encoding", encoding]) == 0
+            assert run_cli(["decrypt", "--key", str(key), "--in", str(ct),
+                            "--out", str(out), "--encoding", encoding]) == 0
+            assert out.read_bytes() == b"ends with hash" + tail
+            assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("size, warning", [
@@ -135,7 +147,7 @@ def test_key_schedule_leak_warning(tmp_path, capsys, size, warning):
     # neither stdout nor the ciphertext.
     key = write_key(tmp_path)
     src = tmp_path / "m"
-    message = random.Random(size).randbytes(size).replace(b"#", b"$")
+    message = random.Random(size).randbytes(size)
     src.write_bytes(message)
     ct = tmp_path / "ct"
     assert run_cli(["encrypt", "--key", str(key), "--in", str(src), "--out", str(ct),
@@ -231,8 +243,48 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["encrypt", "--key", "k"]) == 1
     assert run_cli(["analyze", "nonsense"]) == 1
     assert run_cli(["bench", "--blocks", "50"]) == 1
-    assert run_cli(["analyze", "linearity", "--trials", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("target", cli.ANALYZE_TARGETS)
+def test_analyze_rejects_trials_below_one(capsys, target, trials):
+    assert run_cli(["analyze", target, "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+# Each action of the file subcommands, as (option strings, dest, default,
+# required, choices); encrypt and decrypt share their first five rows.
+_FILE_OPTIONS = {
+    "encrypt": [
+        (("-h", "--help"), "help", argparse.SUPPRESS, False, None),
+        (("--key",), "key", None, True, None),
+        (("--in",), "in_", None, True, None),
+        (("--out",), "out", None, True, None),
+        (("--encoding",), "encoding", "raw", False, ("raw", "hex", "base64")),
+        (("--seed",), "seed", None, False, None),
+        (("--force",), "force", False, False, None),
+    ],
+    "decrypt": [
+        (("-h", "--help"), "help", argparse.SUPPRESS, False, None),
+        (("--key",), "key", None, True, None),
+        (("--in",), "in_", None, True, None),
+        (("--out",), "out", None, True, None),
+        (("--encoding",), "encoding", "raw", False, ("raw", "hex", "base64")),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_OPTIONS))
+def test_file_subcommand_options(name):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [(tuple(a.option_strings), a.dest, a.default, a.required,
+                None if a.choices is None else tuple(a.choices))
+               for a in sub.choices[name]._actions]
+    assert actions == _FILE_OPTIONS[name]
 
 
 def test_help_exits_zero(capsys):
@@ -367,6 +419,14 @@ def test_analyze_linearity_passes(capsys):
     assert run_cli(["analyze", "linearity", "--trials", "200", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "result=PASS" in out and "counterexample=none" in out
+
+
+def test_analyze_linearity_failure_exits_5(capsys, monkeypatch):
+    x, y = bytes(range(64)), bytes(range(64, 128))
+    monkeypatch.setattr(analysis, "linearity_check", lambda key, trials, seed: (False, (x, y)))
+    assert run_cli(["analyze", "linearity", "--trials", "9", "--seed", "4"]) == 5
+    assert capsys.readouterr() == (
+        f"trials=9\nseed=4\ncounterexample={x.hex()},{y.hex()}\nresult=FAIL\n", "")
 
 
 def test_analyze_attack_default_trials(capsys):

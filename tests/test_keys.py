@@ -287,13 +287,13 @@ def test_identity_form_keys_leave_every_basis_state_unchanged():
     basis = np.packbits(np.eye(512, dtype=np.uint8), axis=1, bitorder="little")
     rng = random.Random(27)
     for key in [_identity_form_key(rng) for _ in range(20)] + [bytes([4]) * 64]:
-        assert is_identity_form(key)
+        assert is_identity_form(key) and keys.is_weak_key(key)
         assert np.array_equal(batch.encrypt_blocks(basis, key), basis)
         assert np.array_equal(batch.decrypt_blocks(basis, key), basis)
     # a {0, 4} key without period 4 is not the identity
     key = bytearray(bytes([4]) * 64)
     key[0] = 0
-    assert not is_identity_form(bytes(key))
+    assert not is_identity_form(bytes(key)) and not keys.is_weak_key(key)
     assert not np.array_equal(batch.encrypt_blocks(basis, bytes(key)), basis)
 
 
@@ -310,6 +310,7 @@ def test_chain_keys_have_identity_form_from_block_13():
 def test_weak_key_predicate():
     for d in range(8):
         assert keys.is_weak_key(bytes([d]) * 64)
+    assert keys.is_weak_key(IDENTITY_FORM_MASTER)
     assert not keys.is_weak_key(ROW_01234567)
 
 

@@ -10,8 +10,10 @@ decryptions against the key's own.
 from __future__ import annotations
 
 import gc
+import math
 import random
 import statistics
+import sys
 import time
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -33,6 +35,8 @@ _TRIAL_CHUNK = 1024
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint16)
 # Row i is the packed basis state 8i: octet 0x01 in cell i.
 _CELL_BASIS = np.eye(64, dtype=np.uint8).view("<u8")
+# From 3.11 on, _avalanche_report's standard deviation needs no pstdev.
+_EXACT_PSTDEV = sys.version_info >= (3, 11)
 
 
 class LinearMap512:
@@ -175,42 +179,54 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
     column 8i + j has the weight of column 8i. The counts are therefore
     read from the 64 cell weights, one encryption of the cell basis states
     per report, and a trial needs only its position. It still draws in the
-    order that measuring on its state would, the 512 bits of the base state
-    then the position, so the report is the same. The linearity report and
-    the tests check the algebra on random states.
+    order that measuring on its state would, randbytes(64) then
+    randrange(512), restated as in avalanche_key, so the report is the
+    same. The linearity report and the tests check the algebra on random
+    states.
     """
     _check_key(session_key)
     cells = batch.encrypt_blocks(_CELL_BASIS.view(np.uint8), session_key)
     weights = _POPCOUNT[cells].sum(axis=1).tolist()
     rng = random.Random()
-    reseed, getrandbits, randrange = _seeder(rng), rng.getrandbits, rng.randrange
+    reseed, getrandbits = _seeder(rng), rng.getrandbits
     counts = [0] * (STATE_BITS + 1)
     for subs in _trial_seeds(seed, trials):
         for sub in subs:
             reseed(sub)
-            # 512 bits advance the stream exactly as randbytes(64) does.
             getrandbits(STATE_BITS)
-            counts[weights[randrange(STATE_BITS) >> 3]] += 1
+            while (position := getrandbits(10)) >= STATE_BITS:
+                pass
+            counts[weights[position >> 3]] += 1
     return _avalanche_report(np.array(counts), seed, "plaintext-sample")
 
 
 def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
-    """Sample key sensitivity: change one key digit to a different value per trial."""
+    """Sample key sensitivity: change one key digit to a different value per trial.
+
+    A trial draws randbytes(64), randrange(64) for the position, then
+    choice() of the seven other digits there. Each is restated as the C
+    getrandbits calls it makes, so the report is the same: getrandbits(512)
+    read little-endian, and Random._randbelow(n)'s loop of n.bit_length()
+    bits drawn until below n.
+    """
     master = _check_key(master)
-    # choice() draws from others[p], the seven digits other than the master's at p.
+    # others[p][i] is the i-th of the seven digits other than the master's at p.
     others = [[d for d in range(8) if d != digit] for digit in master]
     master_row = np.frombuffer(master, np.uint8)
     rng = random.Random()
-    reseed, randbytes, randrange, choice = _seeder(rng), rng.randbytes, rng.randrange, rng.choice
+    reseed, getrandbits = _seeder(rng), rng.getrandbits
     histogram = np.zeros(STATE_BITS + 1, np.int64)
     for subs in _trial_seeds(seed, trials):
         states, positions, replacements = bytearray(), [], []
         for sub in subs:
             reseed(sub)
-            states += randbytes(64)
-            position = randrange(64)
+            states += getrandbits(STATE_BITS).to_bytes(64, "little")
+            while (position := getrandbits(7)) >= 64:
+                pass
+            while (i := getrandbits(3)) >= 7:
+                pass
             positions.append(position)
-            replacements.append(choice(others[position]))
+            replacements.append(others[position][i])
         base = np.frombuffer(states, np.uint8).reshape(-1, 64)
         mutated = np.tile(master_row, (len(base), 1))
         mutated[np.arange(len(base)), positions] = replacements
@@ -458,18 +474,38 @@ def _field_lines(report) -> list[str]:
 
 def _avalanche_report(histogram: np.ndarray, seed: int, mode: str) -> AvalancheReport:
     # The statistics of the distances the histogram counts, as computed on
-    # the list of them: the same int/int mean, and pstdev over the same
-    # multiset of ratios, which it sums exactly whatever their order.
+    # the list of them: the same int/int mean, and pstdev of the ratios
+    # d / 512. From 3.11 pstdev is the correctly rounded root of the exact
+    # variance, (n sum(c d^2) - sum(c d)^2) / (n 512)^2 here; 3.10's rounds
+    # twice, so there it runs on the ratios, summed exactly in any order.
     counts = histogram.tolist()
     trials = sum(counts)
     present = [d for d, c in enumerate(counts) if c]
-    ratios = chain.from_iterable(repeat(d / STATE_BITS, counts[d]) for d in present)
+    total = sum(d * counts[d] for d in present)
+    if _EXACT_PSTDEV:
+        squares = sum(d * d * counts[d] for d in present)
+        stddev = _sqrt_of_fraction(trials * squares - total * total, (trials * STATE_BITS) ** 2)
+    else:
+        stddev = statistics.pstdev(
+            chain.from_iterable(repeat(d / STATE_BITS, counts[d]) for d in present))
     return AvalancheReport(
         trials=trials,
-        flipped_ratio_mean=sum(d * counts[d] for d in present) / (STATE_BITS * trials),
+        flipped_ratio_mean=total / (STATE_BITS * trials),
         flipped_ratio_min=present[0] / STATE_BITS,
         flipped_ratio_max=present[-1] / STATE_BITS,
-        flipped_ratio_stddev=statistics.pstdev(ratios),
+        flipped_ratio_stddev=stddev,
         seed=seed,
         mode=mode,
     )
+
+
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    # sqrt(n / m) correctly rounded, as statistics takes it from 3.11: an
+    # integer root at 2 * 53 + 3 bits, rounded to odd, then one rounding.
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    return math.ldexp(root | (root * root * m != n), q)

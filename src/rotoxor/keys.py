@@ -51,6 +51,8 @@ _CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_B
                            for r in range(8)] for t in range(1, 16)], dtype=np.float32)
 _ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]
                            for r in range(8)])
+# A numpy scalar, since a Python int operand costs a ufunc call 0.3-0.4 µs.
+_DIGIT_MASK = np.uint16(DIGIT_BASE - 1)
 
 
 def parse_master_key(text: str) -> bytes:
@@ -117,7 +119,8 @@ def session_keys(master: bytes, n: int) -> np.ndarray:
     keys[:1] = key
     if n > 1:
         powers = _CHAIN_POWERS[:n - 1]
-        keys[1:len(powers) + 1] = np.dot(powers, key.take(_ROW_ROTATIONS)).astype(np.uint16) & 7
+        product = np.dot(powers, key.take(_ROW_ROTATIONS))
+        keys[1:len(powers) + 1] = product.astype(np.uint16) & _DIGIT_MASK
     return keys
 
 

@@ -7,21 +7,25 @@ per block, one RNG per trial drawn in the documented order, statistics
 computed on the list of distances) over several keys and seeds with short
 chunks, and the stdlib RNG identities that let the reports draw in bulk.
 Comparing the code with itself would miss a reordered RNG draw; these
-checks would not. Two more pin what stays outside the bytes: the plaintext
-avalanche encrypts only the 64 cell basis states, once per report, and the
-benchmark checks the same default digests as these tests.
+checks would not. Three more pin what stays outside the bytes: the plaintext
+avalanche encrypts only the 64 cell basis states, once per report, the
+avalanche reports draw with getrandbits alone and, on 3.11+, take their
+standard deviation without statistics.pstdev, and the benchmark checks the
+same default digests as these tests.
 """
 
 import hashlib
 import importlib.util
 import io
 import random
+import statistics
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotoxor import analysis, batch, cli, keys
@@ -119,32 +123,77 @@ def test_bulk_getrandbits_splits_into_the_single_draws(seed, n, monkeypatch):
     assert [sub for chunk in chunks for sub in chunk] == singles
 
 
+def _restated_draws(rng):
+    # A trial's draws as the avalanche reports make them, with getrandbits
+    # alone: randbytes(64), randrange(512), randrange(64) and choice() of
+    # seven digits, each randrange and choice as Random._randbelow's loop.
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        while (r := getrandbits(n.bit_length())) >= n:
+            pass
+        return r
+    return (getrandbits(512).to_bytes(64, "little"), below(512), below(64),
+            [0, 1, 2, 3, 5, 6, 7][below(7)], rng.getstate())
+
+
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_reseeded_generator_draws_as_a_fresh_one(seed):
     master = random.Random(seed)
-    reused, seeded = random.Random(), random.Random()
+    reused, seeded, restated = random.Random(), random.Random(), random.Random()
     reused.gauss(0, 1)  # leaves a cached second normal behind, which seed() clears
-    reseed = analysis._seeder(seeded)
+    reseed, reseed_restated = analysis._seeder(seeded), analysis._seeder(restated)
     for _ in range(20):
         sub = master.getrandbits(64)
         fresh = random.Random(sub)
         reused.seed(sub)
         reseed(sub)
-        for rng in (reused, seeded):
+        reseed_restated(sub)
+        for rng in (reused, seeded, restated):
             assert rng.getstate() == fresh.getstate()
         draws = [(rng.randbytes(64), rng.randrange(512), rng.randrange(64),
                   rng.choice([0, 1, 2, 3, 5, 6, 7]), rng.getstate())
                  for rng in (fresh, reused, seeded)]
         assert draws[1] == draws[0] and draws[2] == draws[0]
+        assert _restated_draws(restated) == draws[0]
 
 
-@given(st.lists(st.integers(0, 512), min_size=1, max_size=300), st.integers(), st.text())
+# 3001 distances, spread as a report's are, and three edge cases: one bin,
+# the extremes 0 and 512 alone, and both extremes in one report.
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 512), min_size=1, max_size=3001), st.integers(), st.text())
+@example([int(random.Random(i).gauss(256, 11)) for i in range(3001)], 77, "key-sample")
+@example([300] * 3001, 0, "plaintext-sample")
+@example([0], 0, "")
+@example([512] * 2, 0, "")
+@example([0] * 3000 + [512], 0, "")
 def test_histogram_report_equals_list_statistics(distances, seed, mode):
     histogram = np.bincount(distances, minlength=513)
-    report = analysis._avalanche_report(histogram, seed, mode)
     reference = avalanche_report_reference(distances, seed, mode)
-    assert report == reference
-    assert report.as_lines() == reference.as_lines()
+    # The integer square root, where the interpreter has it, and the
+    # pstdev over the ratios that 3.10 runs.
+    for exact in {analysis._EXACT_PSTDEV, False}:
+        with mock.patch.object(analysis, "_EXACT_PSTDEV", exact):
+            report = analysis._avalanche_report(histogram, seed, mode)
+        assert report == reference
+        assert report.as_lines() == reference.as_lines()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the avalanche reports restate this call")
+
+
+@pytest.mark.parametrize("target", ["avalanche-key", "avalanche-plaintext"])
+def test_avalanche_reports_draw_with_getrandbits_alone(target, monkeypatch):
+    # Each trial makes only C calls after its re-seed, and on 3.11+ the
+    # standard deviation comes from the histogram, not from pstdev.
+    for name in ("randbytes", "randrange", "choice"):
+        monkeypatch.setattr(random.Random, name, _forbidden)
+    if analysis._EXACT_PSTDEV:
+        monkeypatch.setattr(statistics, "pstdev", _forbidden)
+    assert _report_sha256(["analyze", target]) == DEFAULT_REPORT_SHA256[target]
+    digest = _report_sha256(["analyze", target, "--seed", "77", "--trials", "3001"])
+    assert digest == SEAM_REPORT_SHA256[target]
 
 
 # --- scalar restatements -----------------------------------------------------

@@ -35,6 +35,12 @@ _TRIAL_CHUNK = 1024
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint16)
 # Row i is the packed basis state 8i: octet 0x01 in cell i.
 _CELL_BASIS = np.eye(64, dtype=np.uint8).view("<u8")
+# The avalanche trials restate randrange(512), randrange(64) and choice()
+# of seven digits as Random._randbelow(n) does them: n.bit_length() bits
+# from getrandbits, drawn again until below n.
+_CELLS, _OTHER_DIGITS = 64, 7
+_POSITION_BITS, _CELL_BITS, _OTHER_BITS = (
+    n.bit_length() for n in (STATE_BITS, _CELLS, _OTHER_DIGITS))
 # From 3.11 on, _avalanche_report's standard deviation needs no pstdev.
 _EXACT_PSTDEV = sys.version_info >= (3, 11)
 
@@ -194,7 +200,7 @@ def avalanche_plaintext(session_key: bytes, trials: int, seed: int) -> Avalanche
         for sub in subs:
             reseed(sub)
             getrandbits(STATE_BITS)
-            while (position := getrandbits(10)) >= STATE_BITS:
+            while (position := getrandbits(_POSITION_BITS)) >= STATE_BITS:
                 pass
             counts[weights[position >> 3]] += 1
     return _avalanche_report(np.array(counts), seed, "plaintext-sample")
@@ -221,9 +227,9 @@ def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
         for sub in subs:
             reseed(sub)
             states += getrandbits(STATE_BITS).to_bytes(64, "little")
-            while (position := getrandbits(7)) >= 64:
+            while (position := getrandbits(_CELL_BITS)) >= _CELLS:
                 pass
-            while (i := getrandbits(3)) >= 7:
+            while (i := getrandbits(_OTHER_BITS)) >= _OTHER_DIGITS:
                 pass
             positions.append(position)
             replacements.append(others[position][i])

@@ -21,13 +21,20 @@ therefore telescope to (P^-1 M R_k)^8, and decryption is
 (R_k^-1 M^-1 P)^8. Each loop folds its one-column shift into a mix table:
 ``_MIX_NEXT`` reads the neighbourhood of the next column (P^-1 M) and
 ``_MIX_PREV`` that of the previous one (M P). A rotation by r is a right
-shift by r OR a left shift by 8 - r: for r = 0 that is a shift by 8, which
-numpy defines as 0 for uint8, so no mask is needed. Both loops call the
-shift, OR and XOR-reduce ufuncs bound to locals rather than the ``>>``,
-``<<`` and ``|`` operators, which reach the same ufuncs through ndarray's
-number protocol (eight encryption rounds, 2-vCPU shared Xeon, W = 1, 8 and
-16: 28.3, 34.0 and 38.7 µs with operators; 27.1, 33.7 and 37.9 µs bound).
-Tests pin this path to the scalar one byte for byte.
+shift by r OR a left shift by 8 - r, and each loop does the left shift by
+s as a uint8 multiply by 2^s, ``np.left_shift(_ONE, s)``: for r = 0 that
+is 2^8, which wraps to 0 as a shift by 8 gives 0, so no mask is needed.
+numpy 2.4's uint8 shift by an array is not vectorized and its multiply is
+(W = 1000: 20.0 against 3.5 µs; W = 4096: 77 against 12 µs); at the
+codec's N <= 12 the two cost the same, the powers' one extra call
+included. The powers replace the shift amounts they come from
+(encryption's left, decryption's right), so a round holds no more (64, W)
+arrays than the shifts did. Both loops call the ufuncs bound to locals
+rather than the ``>>``, ``*`` and ``|`` operators, which reach the same
+ufuncs through ndarray's number protocol (eight encryption rounds, 2-vCPU
+shared Xeon, W = 1, 8 and 16: 28.3, 34.0 and 38.7 µs with operators;
+27.1, 33.7 and 37.9 µs bound). Tests pin this path to the scalar one byte
+for byte.
 
 The size rule: up to ``_SMALL`` (32) blocks, W is N rounded up to a power of
 two, and decryption applies M^-1 P as one gather over ``_MIX_INV_PREV``, the
@@ -45,18 +52,6 @@ the bound of 10 times the states' bytes that tests pin on a round's
 temporaries. Two one-key callers that only encrypt lie above it as well: the
 attack's query of the 512 single-bit basis states, and the plaintext
 avalanche's one call per report of the 64 cell basis states.
-
-The size rule also picks how a round shifts left. numpy 2.4's uint8 shift
-by an array is not vectorized, and a multiply is (W = 1000: 20.0 against
-3.5 µs; W = 4096: 77 against 12 µs). So above ``_SMALL`` the left shift by
-s is a uint8 multiply by 2^s, ``np.left_shift(_ONE, s)``, where s = 8
-gives 0 as the shift does. The powers replace the shift amounts they come
-from (encryption's left, decryption's right), so a round holds no more
-(64, W) arrays than before and the memory bound above still holds. At
-N <= 12 the multiply gains nothing (per-block decrypt at N = 12: 50-54
-against 50-52 µs) and building the powers is one more call, so the shifts
-stay there. Powers by ``take`` from a 2^(8 - r) table were no faster than
-by a shift (per-block keys, N = 1000 encrypt: 549-557 against 524-543 µs).
 """
 
 from __future__ import annotations
@@ -85,11 +80,10 @@ def encrypt_blocks(states, session_keys) -> np.ndarray:
     Any other key count raises ValueError.
     """
     x, right, left, n = _operands(states, session_keys)
-    shr, shl, bor, xor = np.right_shift, np.left_shift, np.bitwise_or, np.bitwise_xor.reduce
-    if n > _SMALL:
-        left, shl = shl(_ONE, left), np.multiply
+    left = np.left_shift(_ONE, left)
+    shr, mul, bor, xor = np.right_shift, np.multiply, np.bitwise_or, np.bitwise_xor.reduce
     for _ in range(ROUNDS):
-        x = bor(shr(x, right), shl(x, left))
+        x = bor(shr(x, right), mul(x, left))
         x = xor(x.take(_MIX_NEXT, axis=0), axis=0)
     return x[:, :n].T
 
@@ -98,13 +92,12 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
     """Inverse of encrypt_blocks under the same keys."""
     x, right, left, n = _operands(states, session_keys)
     tables = (_MIX_INV_PREV,) if n <= _SMALL else (_MIX_PREV, _MIX_2)
-    shr, shl, bor, xor = np.right_shift, np.left_shift, np.bitwise_or, np.bitwise_xor.reduce
-    if n > _SMALL:
-        right, shl = shl(_ONE, right), np.multiply
+    right = np.left_shift(_ONE, right)
+    shr, mul, bor, xor = np.right_shift, np.multiply, np.bitwise_or, np.bitwise_xor.reduce
     for _ in range(ROUNDS):
         for table in tables:
             x = xor(x.take(table, axis=0), axis=0)
-        x = bor(shl(x, right), shr(x, left))
+        x = bor(mul(x, right), shr(x, left))
     return x[:, :n].T
 
 

@@ -200,8 +200,9 @@ def test_zero_key_is_the_identity_both_ways():
 
 @st.composite
 def _states_and_keys(draw):
-    # Up to 2 * batch._SMALL + 8 blocks, so both the shift rounds at or
-    # below batch._SMALL and the multiply rounds above it are drawn.
+    # Up to 2 * batch._SMALL + 8 blocks, so both the padded one-gather
+    # decryption at or below batch._SMALL and the two-pass one above it
+    # are drawn.
     n = draw(st.integers(0, 2 * batch._SMALL + 8))
     states = draw(st.binary(min_size=64 * n, max_size=64 * n))
     digits = st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes)

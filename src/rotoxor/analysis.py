@@ -1,10 +1,10 @@
 """Empirical checks of the cipher's security and performance behavior.
 
 Covers the avalanche effect for plaintext and key changes, repeated-block
-distinctness under the session-key chain, data-independent timing, key-space
-accounting, and a chosen-plaintext attack that recovers the fixed-key cipher
-as a 512x512 GF(2) matrix, decrypts without the key, and checks those
-decryptions against the key's own.
+distinctness under the session-key chain, data-independent timing, and a
+chosen-plaintext attack that recovers the fixed-key cipher as a 512x512
+GF(2) matrix, decrypts without the key, and checks those decryptions against
+the key's own.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import gc
 import math
 import random
 import statistics
-import sys
 import time
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -24,7 +22,7 @@ import numpy as np
 from . import batch, gf2
 from .cipher import encrypt_block
 from .errors import SingularMapError
-from .keys import _check_key, session_keys
+from .keys import _check_key
 
 STATE_BITS = 512
 # Every report, the attack's check included, runs its trials this many at a
@@ -41,8 +39,6 @@ _CELL_BASIS = np.eye(64, dtype=np.uint8).view("<u8")
 _CELLS, _OTHER_DIGITS = 64, 7
 _POSITION_BITS, _CELL_BITS, _OTHER_BITS = (
     n.bit_length() for n in (STATE_BITS, _CELLS, _OTHER_DIGITS))
-# From 3.11 on, _avalanche_report's standard deviation needs no pstdev.
-_EXACT_PSTDEV = sys.version_info >= (3, 11)
 
 
 class LinearMap512:
@@ -325,7 +321,7 @@ def repeated_block_report(
     if len(content) != 64:
         raise ValueError(f"content must be exactly 64 octets, got {len(content)}")
     encrypted = batch.encrypt_blocks(bytes(content) * block_count,
-                                     session_keys(master, block_count))
+                                     batch.session_keys(master, block_count))
     ciphertexts = [row.tobytes() for row in encrypted]
     collisions = tuple(
         (a + 1, b + 1)
@@ -415,25 +411,6 @@ def bench_throughput(block_count: int) -> TimingReport:
     )
 
 
-def keyspace_report() -> str:
-    """Contrast the stated key count (64^8) with the structural count (8^64)."""
-    stated = 64 ** 8
-    structural = 8 ** 64
-    lines = [
-        "stated_keys=64^8",
-        "stated_keys_pow2=2^48",
-        f"stated_keys_value={stated}",
-        "structural_keys=8^64",
-        "structural_keys_pow2=2^192",
-        f"structural_keys_value={structural}",
-        "discrepancy=yes",
-        "discrepancy_note=the stated count 2^48 and the structural count 2^192"
-        " differ by a factor of 2^144; 64 positions over 8 digit values give"
-        " 8^64 keys, not 64^8",
-    ]
-    return "\n".join(lines)
-
-
 def _chunk_sizes(trials: int) -> list[int]:
     # The trial count split into _TRIAL_CHUNK-sized runs, the last one short.
     # Every report's trial count is checked here.
@@ -480,20 +457,16 @@ def _field_lines(report) -> list[str]:
 
 def _avalanche_report(histogram: np.ndarray, seed: int, mode: str) -> AvalancheReport:
     # The statistics of the distances the histogram counts, as computed on
-    # the list of them: the same int/int mean, and pstdev of the ratios
-    # d / 512. From 3.11 pstdev is the correctly rounded root of the exact
-    # variance, (n sum(c d^2) - sum(c d)^2) / (n 512)^2 here; 3.10's rounds
-    # twice, so there it runs on the ratios, summed exactly in any order.
+    # the list of them: the same int/int mean, and the standard deviation
+    # of the ratios d / 512 as 3.11's pstdev takes it, the correctly rounded
+    # root of the exact variance, (n sum(c d^2) - sum(c d)^2) / (n 512)^2.
+    # It is the same on every supported Python; 3.10's pstdev rounds twice.
     counts = histogram.tolist()
     trials = sum(counts)
     present = [d for d, c in enumerate(counts) if c]
     total = sum(d * counts[d] for d in present)
-    if _EXACT_PSTDEV:
-        squares = sum(d * d * counts[d] for d in present)
-        stddev = _sqrt_of_fraction(trials * squares - total * total, (trials * STATE_BITS) ** 2)
-    else:
-        stddev = statistics.pstdev(
-            chain.from_iterable(repeat(d / STATE_BITS, counts[d]) for d in present))
+    squares = sum(d * d * counts[d] for d in present)
+    stddev = _sqrt_of_fraction(trials * squares - total * total, (trials * STATE_BITS) ** 2)
     return AvalancheReport(
         trials=trials,
         flipped_ratio_mean=total / (STATE_BITS * trials),

@@ -1,6 +1,10 @@
 """Vectorized block pipeline used by the message codec and the analysis reports.
 
-The same transform as cipher.encrypt_block/decrypt_block, applied to N
+``session_keys`` is the session-key chain's one implementation, in closed
+form: it returns the keys of blocks 1..n as one (n, 64) uint8 array, the
+form ``encrypt_blocks`` and ``decrypt_blocks`` take them in.
+
+The block functions are cipher.encrypt_block/decrypt_block applied to N
 blocks at once, with each step a fixed number of numpy calls whatever N is.
 The rounds work on a C-contiguous (64, W) copy of the blocks' transpose, one
 row per cell, so every table lookup gathers whole rows with
@@ -56,10 +60,26 @@ avalanche's one call per report of the 64 cell basis states.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .cipher import _NEIGH_1, _NEIGH_2, ROUNDS
-from .keys import _ROW_ROTATIONS
+from .keys import CHAIN_BLOCKS, DIGIT_BASE, KEY_DIGITS, _check_key
+
+# The chain in closed form. Block n's session key is (I+S)^(n-1) applied to
+# each row of the master, and S^8 = I, so (I+S)^t is the sum over r of
+# c[t][r] S^r with c[t][r] the sum of C(t, i) over i = r (mod 8). Row t-1 of
+# _CHAIN_POWERS holds c[t] mod 8 for t = 1..15; (I+S)^16 = 0 mod 8 ends the
+# table, and from block keys.LIVE_BLOCKS + 1 on the keys already make the
+# block transform the identity. Row r of _ROW_ROTATIONS gathers S^r of a
+# key: cell 8i+j reads digit 8i+(j+r)%8. Its rows 1 and 7 (the next and the
+# previous column) are also the one-column grid shifts folded into the mix
+# tables below.
+_CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_BASE
+                           for r in range(8)] for t in range(1, CHAIN_BLOCKS)], dtype=np.float32)
+_ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]
+                           for r in range(8)])
 
 _MIX_1, _MIX_2 = (np.array(table, dtype=np.intp).T.copy() for table in (_NEIGH_1, _NEIGH_2))
 _MIX_NEXT, _MIX_PREV = (_MIX_1.take(_ROW_ROTATIONS[r], axis=1) for r in (1, 7))
@@ -70,13 +90,32 @@ np.add.at(_hits, (np.arange(64), _MIX_PREV[:, _MIX_2]), 1)
 _MIX_INV_PREV = np.nonzero(_hits & 1)[1].reshape(64, -1).T.copy()
 _SMALL = 32
 # numpy scalars, since a Python int operand costs a ufunc call 0.3-0.4 µs.
-_ONE, _EIGHT = np.uint8(1), np.uint8(8)
+_ONE, _EIGHT, _DIGIT_MASK = np.uint8(1), np.uint8(8), np.uint16(DIGIT_BASE - 1)
+
+
+def session_keys(master: bytes, n: int) -> np.ndarray:
+    """The session keys of blocks 1..n as one (n, 64) uint8 array.
+
+    Row 1 is the checked master, so one block computes no other key. Rows
+    2..min(n, 16) come from one product of the closed form; every later row
+    is keys.ZERO_KEY, the chain's fixed point. The product is in float32,
+    since ``np.dot`` on integers skips BLAS and runs a slower loop; it is
+    exact, as every sum is at most 8 * 7 * 7 = 392.
+    """
+    key = np.frombuffer(_check_key(master), dtype=np.uint8)
+    keys = np.zeros((n, KEY_DIGITS), dtype=np.uint8)
+    keys[:1] = key
+    if n > 1:
+        powers = _CHAIN_POWERS[:n - 1]
+        product = np.dot(powers, key.take(_ROW_ROTATIONS))
+        keys[1:len(powers) + 1] = product.astype(np.uint16) & _DIGIT_MASK
+    return keys
 
 
 def encrypt_blocks(states, session_keys) -> np.ndarray:
     """Encrypt N blocks; ``session_keys`` is one key (64,) or one per block (N, 64).
 
-    The keys may be bytes or a uint8 array such as keys.session_keys returns.
+    The keys may be bytes or a uint8 array such as session_keys returns.
     Any other key count raises ValueError.
     """
     x, right, left, n = _operands(states, session_keys)

@@ -8,7 +8,9 @@ key. Ciphertext serializes as raw octets, lowercase hex, or standard base64.
 The codec works on one contiguous buffer per message: the CLI calls the
 buffer functions directly, and only the public block-list functions
 (encrypt_message, decrypt_message, encode_stream, decode_stream) split a
-buffer into 64-octet blocks or join blocks into one.
+buffer into 64-octet blocks or join blocks into one. The two buffer
+functions that run the rounds import ``batch``, and with it numpy, when
+they are first called, so padding, framing and the CLI's checks load none.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import binascii
 from typing import Sequence
 
-from . import batch
 from .cipher import BLOCK_SIZE
 from .errors import BlockSizeError, DecodeError, PaddingError
-from .keys import LIVE_BLOCKS, session_keys
+from .keys import LIVE_BLOCKS
 # Unused here; perfbench/spans.py traces this name by lookup, so it stays.
 from .keys import session_key_chain  # noqa: F401
 
@@ -115,10 +116,12 @@ def decode_stream(data: bytes, encoding: str = "raw") -> list[bytes]:
 
 def _encrypt_buffer(message, master: bytes, filler_source) -> bytearray:
     # Pad, encrypt the live head in place, and leave the tail as padded.
+    from . import batch
     padded = pad_message(message, filler_source)
     blocks = min(len(padded) // BLOCK_SIZE, LIVE_BLOCKS)
     head = blocks * BLOCK_SIZE
-    padded[:head] = batch.encrypt_blocks(padded[:head], session_keys(master, blocks)).tobytes()
+    padded[:head] = batch.encrypt_blocks(padded[:head],
+                                         batch.session_keys(master, blocks)).tobytes()
     return padded
 
 
@@ -128,10 +131,11 @@ def _decrypt_buffer(data, master: bytes) -> memoryview:
     # octets before the final block, so unpadding reads the last two blocks.
     if not data:
         raise BlockSizeError("ciphertext stream is empty")
+    from . import batch
     blocks = min(len(data) // BLOCK_SIZE, LIVE_BLOCKS)
     head = blocks * BLOCK_SIZE
     out = bytearray(data)
-    out[:head] = batch.decrypt_blocks(out[:head], session_keys(master, blocks)).tobytes()
+    out[:head] = batch.decrypt_blocks(out[:head], batch.session_keys(master, blocks)).tobytes()
     start = max(0, len(out) - 2 * BLOCK_SIZE)
     cut = start + len(unpad_message(memoryview(out)[start:]))
     return memoryview(out)[:cut]

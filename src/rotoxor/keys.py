@@ -3,19 +3,17 @@
 A key is 64 base-8 digits arranged row-major on an 8x8 grid, stored as a
 ``bytes`` object of digit values 0..7. The master key doubles as the session
 key of the first block; each later block's session key is chained from the
-previous one. ``session_keys``, the chain's one implementation, returns the
-keys of blocks 1..n as one (n, 64) array; ``session_key_chain`` yields its
-rows as ``bytes`` in block order. Each of the 8 rounds inside a block uses a
+previous one. The chain's one implementation is ``batch.session_keys``, its
+closed form on numpy arrays; ``session_key_chain`` yields its rows as
+``bytes`` in block order, and imports it only when block 2 is asked for, so
+this module loads without numpy. Each of the 8 rounds inside a block uses a
 sub-key obtained by rotating the session key's columns.
 """
 
 from __future__ import annotations
 
 from itertools import repeat, takewhile
-from math import comb
 from typing import Iterator
-
-import numpy as np
 
 from .errors import DigitError, LengthError
 
@@ -31,29 +29,14 @@ ROUNDS = 8
 # transform is the identity.
 LIVE_BLOCKS = 12
 
-# The chain's fixed point, reached by block 17 since (I+S)^16 = 0 mod 8.
+# The chain's fixed point, reached by block CHAIN_BLOCKS + 1 since
+# (I+S)^16 = 0 mod 8, so only blocks 1..CHAIN_BLOCKS can have other keys.
 ZERO_KEY = bytes(KEY_DIGITS)
+CHAIN_BLOCKS = 16
 
 # A key is valid when deleting these octets leaves nothing: one C pass,
 # where max() compares 64 Python ints (0.3 against 2.0 µs).
 _DIGIT_VALUES = bytes(range(DIGIT_BASE))
-
-# The chain in closed form. Block n's session key is (I+S)^(n-1) applied to
-# each row of the master, and S^8 = I, so (I+S)^t is the sum over r of
-# c[t][r] S^r with c[t][r] the sum of C(t, i) over i = r (mod 8). Row t-1 of
-# _CHAIN_POWERS holds c[t] mod 8 for t = 1..15; (I+S)^16 = 0 mod 8 ends the
-# table, and from block LIVE_BLOCKS + 1 on the keys already make the block
-# transform the identity (the lemma above). Row r of _ROW_ROTATIONS gathers
-# S^r of a key: cell 8i+j reads digit 8i+(j+r)%8. Its second user is batch,
-# which takes rows 1 and 7 (the next and the previous column) as the
-# one-column grid shifts that it folds into its mix tables.
-_CHAIN_POWERS = np.array([[sum(comb(t, i) for i in range(r, t + 1, 8)) % DIGIT_BASE
-                           for r in range(8)] for t in range(1, 16)], dtype=np.float32)
-_ROW_ROTATIONS = np.array([[i & ~7 | (i + r) & 7 for i in range(KEY_DIGITS)]
-                           for r in range(8)])
-# A numpy scalar, since a Python int operand costs a ufunc call 0.3-0.4 µs.
-_DIGIT_MASK = np.uint16(DIGIT_BASE - 1)
-
 
 def parse_master_key(text: str) -> bytes:
     """Parse 64 row-major characters '0'..'7' into a key.
@@ -105,37 +88,19 @@ def derive_round_key(session_key: bytes, m: int) -> bytes:
     return b"".join(rows)
 
 
-def session_keys(master: bytes, n: int) -> np.ndarray:
-    """The session keys of blocks 1..n as one (n, 64) uint8 array.
-
-    Row 1 is the checked master, so one block computes no other key. Rows
-    2..min(n, 16) come from one product of the closed form; every later row
-    is ZERO_KEY, the chain's fixed point. The product is in float32, since
-    ``np.dot`` on integers skips BLAS and runs a slower loop; it is exact,
-    as every sum is at most 8 * 7 * 7 = 392.
-    """
-    key = np.frombuffer(_check_key(master), dtype=np.uint8)
-    keys = np.zeros((n, KEY_DIGITS), dtype=np.uint8)
-    keys[:1] = key
-    if n > 1:
-        powers = _CHAIN_POWERS[:n - 1]
-        product = np.dot(powers, key.take(_ROW_ROTATIONS))
-        keys[1:len(powers) + 1] = product.astype(np.uint16) & _DIGIT_MASK
-    return keys
-
-
 def session_key_chain(master: bytes) -> Iterator[bytes]:
-    """Yield the session keys of blocks 1, 2, 3, ... as the rows of session_keys.
+    """Yield the session keys of blocks 1, 2, 3, ... as the rows of batch.session_keys.
 
     The master is checked and yielded first, so a one-block message costs
-    no other key. Asking for block 2 computes the keys of blocks 2..16 at
-    once; from the first ZERO_KEY on, the chain's fixed point, the
-    generator yields ZERO_KEY itself with no further work.
+    no other key. Asking for block 2 computes the keys of blocks
+    2..CHAIN_BLOCKS at once; from the first ZERO_KEY on, the chain's fixed
+    point, the generator yields ZERO_KEY itself with no further work.
     """
     key = _check_key(master)
     yield key
     if key != ZERO_KEY:
-        later = session_keys(key, len(_CHAIN_POWERS) + 1)[1:]
+        from .batch import session_keys
+        later = session_keys(key, CHAIN_BLOCKS)[1:]
         yield from takewhile(ZERO_KEY.__ne__, map(bytes, later))
     yield from repeat(ZERO_KEY)
 
@@ -159,6 +124,25 @@ def is_weak_key(key: bytes) -> bool:
     digits = set(key)
     return len(digits) == 1 or (digits <= {0, 4}
                                 and all(key[i] == key[i ^ 4] for i in range(KEY_DIGITS)))
+
+
+def keyspace_report() -> str:
+    """Contrast the stated key count (64^8) with the structural count (8^64)."""
+    stated = 64 ** 8
+    structural = 8 ** 64
+    lines = [
+        "stated_keys=64^8",
+        "stated_keys_pow2=2^48",
+        f"stated_keys_value={stated}",
+        "structural_keys=8^64",
+        "structural_keys_pow2=2^192",
+        f"structural_keys_value={structural}",
+        "discrepancy=yes",
+        "discrepancy_note=the stated count 2^48 and the structural count 2^192"
+        " differ by a factor of 2^144; 64 positions over 8 digit values give"
+        " 8^64 keys, not 64^8",
+    ]
+    return "\n".join(lines)
 
 
 def _check_key(key: bytes) -> bytes:

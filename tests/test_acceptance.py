@@ -20,7 +20,6 @@ from rotoxor.analysis import (
     avalanche_key,
     avalanche_plaintext,
     bench_throughput,
-    keyspace_report,
     kpa_decrypt,
     linearity_check,
     recover_linear_map,
@@ -35,7 +34,7 @@ from rotoxor.cipher import (
     xor_layer_encrypt,
 )
 from rotoxor.codec import decrypt_message, encrypt_message, unpad_message
-from rotoxor.keys import derive_round_key, session_key_chain
+from rotoxor.keys import derive_round_key, keyspace_report, session_key_chain
 from support import (
     batched,
     blockwise,

@@ -13,14 +13,13 @@ from rotoxor.analysis import (
     avalanche_plaintext,
     bench_throughput,
     kpa_decrypt,
-    keyspace_report,
     linearity_check,
     recover_linear_map,
     repeated_block_report,
 )
 from rotoxor.cipher import decrypt_block, encrypt_block, xor_layer_encrypt
 from rotoxor.errors import SingularMapError
-from rotoxor.keys import derive_round_key
+from rotoxor.keys import derive_round_key, keyspace_report
 from support import (
     apply_columns,
     batched,

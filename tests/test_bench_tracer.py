@@ -22,7 +22,7 @@ TRACER_ONLY = {
     "cli.encrypt_block": "the attack's chosen-plaintext oracle is analysis.attack_report's, "
                          "on batch",
     "cli.decrypt_block": "the attack's check is analysis.attack_report's, on batch",
-    "codec.session_key_chain": "the codec takes the head's keys as one keys.session_keys "
+    "codec.session_key_chain": "the codec takes the head's keys as one batch.session_keys "
                                "array",
 }
 
@@ -90,11 +90,12 @@ def test_tracer_sees_one_buffer_on_the_cli_file_path(tmp_path, monkeypatch):
     # `rotoxor encrypt`/`decrypt` run the codec on one buffer: one batch call
     # each way, pad/unpad looked up by name, and none of the block-list
     # functions (whose tracer attributes expect a list). The head's keys
-    # come from one keys.session_keys call each way, counted at the name the
+    # come from one batch.session_keys call each way, counted at the name the
     # codec looks up, and none through the traced codec.session_key_chain.
     drawn = []
-    monkeypatch.setattr(codec, "session_keys", lambda master, n: drawn.append(n)
-                        or keys.session_keys(master, n))
+    draw = batch.session_keys
+    monkeypatch.setattr(batch, "session_keys", lambda master, n: drawn.append(n)
+                        or draw(master, n))
     key, src, ct, out = (tmp_path / name for name in ("key", "m", "ct", "out"))
     assert cli.main(["keygen", "--seed", "4", "--out", str(key)]) == 0
     msg = random.Random(8).randbytes(2000)

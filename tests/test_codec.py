@@ -240,7 +240,7 @@ def test_message_round_trip_sends_at_most_16_blocks(monkeypatch):
     sent = {"encrypt": [], "decrypt": []}
 
     def counting(op):
-        fn = getattr(codec.batch, f"{op}_blocks")
+        fn = getattr(batch, f"{op}_blocks")
 
         def wrapper(states, session_keys):
             out = fn(states, session_keys)
@@ -249,7 +249,7 @@ def test_message_round_trip_sends_at_most_16_blocks(monkeypatch):
         return wrapper
 
     for op in sent:
-        monkeypatch.setattr(codec.batch, f"{op}_blocks", counting(op))
+        monkeypatch.setattr(batch, f"{op}_blocks", counting(op))
     rng = random.Random(72)
     masters = [random_key(rng), block_12_master(rng), IDENTITY_FORM_MASTER,
                bytes([4]) * 64, bytes(64)]
@@ -270,8 +270,9 @@ def test_each_message_direction_draws_its_head_keys_once(monkeypatch):
     # One session_keys call per direction, for the live head's blocks only;
     # no key is drawn from the session_key_chain generator.
     drawn = []
-    monkeypatch.setattr(codec, "session_keys", lambda master, n: drawn.append(n)
-                        or keys.session_keys(master, n))
+    draw = batch.session_keys
+    monkeypatch.setattr(batch, "session_keys", lambda master, n: drawn.append(n)
+                        or draw(master, n))
     monkeypatch.setattr(codec, "session_key_chain", None)
     rng = random.Random(73)
     key = random_key(rng)

@@ -217,8 +217,8 @@ def test_chain_stops_stepping_at_zero_key(monkeypatch):
     # point, so from there on the chain yields ZERO_KEY itself and computes
     # nothing more: one product for the uniform-4 master, none for zero.
     calls = []
-    product = keys.session_keys
-    monkeypatch.setattr(keys, "session_keys", lambda *a: calls.append(a) or product(*a))
+    product = batch.session_keys
+    monkeypatch.setattr(batch, "session_keys", lambda *a: calls.append(a) or product(*a))
     chain = list(islice(keys.session_key_chain(bytes([4]) * 64), 20))
     assert chain == [bytes([4]) * 64] + [keys.ZERO_KEY] * 19
     assert all(key is keys.ZERO_KEY for key in chain[1:])
@@ -269,7 +269,7 @@ def test_chain_map_powers_mod_8():
 def test_chain_table_rows_are_the_chain_map_powers():
     # Row n-1 of the table holds (I+S)^n mod 8 as coefficients of S^0..S^7,
     # for n = 1..15; (I+S)^16 = 0 mod 8, so the table needs no further row.
-    table = keys._CHAIN_POWERS
+    table = batch._CHAIN_POWERS
     assert table.shape == (15, 8)
     for n, row in enumerate(table, 1):
         from_table = sum(int(c) * np.linalg.matrix_power(_SHIFT, r) for r, c in enumerate(row))
@@ -349,7 +349,7 @@ def _session_key_masters():
 def test_session_keys_are_the_chain_rows():
     for master in _session_key_masters():
         for n in range(41):
-            rows = keys.session_keys(master, n)
+            rows = batch.session_keys(master, n)
             assert rows.dtype == np.uint8 and rows.shape == (n, 64)
             assert [row.tobytes() for row in rows] == list(
                 islice(keys.session_key_chain(master), n)), (master, n)
@@ -357,9 +357,9 @@ def test_session_keys_are_the_chain_rows():
 
 def test_session_keys_past_block_16_are_zero():
     for master in _session_key_masters():
-        rows = keys.session_keys(master, 40)
+        rows = batch.session_keys(master, 40)
         assert not rows[16:].any()
-        assert np.array_equal(rows[:16], keys.session_keys(master, 16))
+        assert np.array_equal(rows[:16], batch.session_keys(master, 16))
 
 
 def test_one_session_key_computes_no_product(monkeypatch):
@@ -367,11 +367,11 @@ def test_one_session_key_computes_no_product(monkeypatch):
     dot = np.dot
     monkeypatch.setattr(np, "dot", lambda *a: products.append(a) or dot(*a))
     master = ROW_01234567
-    assert keys.session_keys(bytearray(master), 1).tobytes() == master
-    assert keys.session_keys(master, 0).shape == (0, 64)
+    assert batch.session_keys(bytearray(master), 1).tobytes() == master
+    assert batch.session_keys(master, 0).shape == (0, 64)
     assert products == []
-    keys.session_keys(master, 2)
-    keys.session_keys(master, 40)
+    batch.session_keys(master, 2)
+    batch.session_keys(master, 40)
     assert len(products) == 2
 
 
@@ -381,7 +381,7 @@ def test_session_keys_reject_the_chains_bad_keys(master, n):
     with pytest.raises(ValueError) as chain_error:
         list(islice(keys.session_key_chain(master), n))
     with pytest.raises(ValueError) as array_error:
-        keys.session_keys(master, n)
+        batch.session_keys(master, n)
     assert str(array_error.value) == str(chain_error.value)
 
 
@@ -389,4 +389,4 @@ def test_session_keys_reject_the_chains_bad_keys(master, n):
 @given(st.lists(st.integers(0, 7), min_size=64, max_size=64).map(bytes), st.integers(0, 40))
 def test_session_keys_match_step_by_step_reference(master, n):
     expected = chain_reference(master, n)
-    assert [row.tobytes() for row in keys.session_keys(master, n)] == expected
+    assert [row.tobytes() for row in batch.session_keys(master, n)] == expected

@@ -21,7 +21,6 @@ import random
 import statistics
 from contextlib import redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,13 +169,11 @@ def test_reseeded_generator_draws_as_a_fresh_one(seed):
 def test_histogram_report_equals_list_statistics(distances, seed, mode):
     histogram = np.bincount(distances, minlength=513)
     reference = avalanche_report_reference(distances, seed, mode)
-    # The integer square root, where the interpreter has it, and the
-    # pstdev over the ratios that 3.10 runs.
-    for exact in {analysis._EXACT_PSTDEV, False}:
-        with mock.patch.object(analysis, "_EXACT_PSTDEV", exact):
-            report = analysis._avalanche_report(histogram, seed, mode)
-        assert report == reference
-        assert report.as_lines() == reference.as_lines()
+    # The reference is pstdev over the ratios, correctly rounded from 3.11
+    # on; the report's integer root gives that value on every interpreter.
+    report = analysis._avalanche_report(histogram, seed, mode)
+    assert report == reference
+    assert report.as_lines() == reference.as_lines()
 
 
 def _forbidden(*args, **kwargs):
@@ -185,12 +182,11 @@ def _forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("target", ["avalanche-key", "avalanche-plaintext"])
 def test_avalanche_reports_draw_with_getrandbits_alone(target, monkeypatch):
-    # Each trial makes only C calls after its re-seed, and on 3.11+ the
-    # standard deviation comes from the histogram, not from pstdev.
+    # Each trial makes only C calls after its re-seed, and the standard
+    # deviation comes from the histogram, not from pstdev.
     for name in ("randbytes", "randrange", "choice"):
         monkeypatch.setattr(random.Random, name, _forbidden)
-    if analysis._EXACT_PSTDEV:
-        monkeypatch.setattr(statistics, "pstdev", _forbidden)
+    monkeypatch.setattr(statistics, "pstdev", _forbidden)
     assert _report_sha256(["analyze", target]) == DEFAULT_REPORT_SHA256[target]
     digest = _report_sha256(["analyze", target, "--seed", "77", "--trials", "3001"])
     assert digest == SEAM_REPORT_SHA256[target]

@@ -36,8 +36,7 @@ CROSS_MODULE_PRIVATE = {
     "batch: cipher._NEIGH_2": "the spec's distance-2 table is the inverse mix's second pass "
                               "above batch._SMALL blocks, and the one-pass 17-cell table "
                               "at or below it is composed from it",
-    "batch: keys._ROW_ROTATIONS": "rows 1 and 7 are the one-column shifts folded into "
-                                  "the mix tables",
+    "batch: keys._check_key": "session_keys checks the master as the chain generator does",
     "cipher: keys._check_key": "one key check serves the scalar reference and the key module",
     "analysis: keys._check_key": "the reports check the key before drawing any trial",
     "cli: codec._encrypt_buffer": _CODEC_FILE_PATH,

@@ -65,7 +65,7 @@ from math import comb
 import numpy as np
 
 from .cipher import _NEIGH_1, _NEIGH_2, ROUNDS
-from .keys import CHAIN_BLOCKS, DIGIT_BASE, KEY_DIGITS, _check_key
+from .keys import CHAIN_BLOCKS, DIGIT_BASE, KEY_DIGITS, _check_digits, _check_key
 
 # The chain in closed form. Block n's session key is (I+S)^(n-1) applied to
 # each row of the master, and S^8 = I, so (I+S)^t is the sum over r of
@@ -116,7 +116,8 @@ def encrypt_blocks(states, session_keys) -> np.ndarray:
     """Encrypt N blocks; ``session_keys`` is one key (64,) or one per block (N, 64).
 
     The keys may be bytes or a uint8 array such as session_keys returns.
-    Any other key count raises ValueError.
+    Any other key count, a key digit outside 0..7, or states or keys that
+    are not whole 64-octet rows raise ValueError.
     """
     x, right, left, n = _operands(states, session_keys)
     left = np.left_shift(_ONE, left)
@@ -140,12 +141,15 @@ def decrypt_blocks(states, session_keys) -> np.ndarray:
     return x[:, :n].T
 
 
-def _rows(x) -> np.ndarray:
+def _rows(x, name: str) -> np.ndarray:
     # Bytes-likes and arrays of (N, 64) octets alike, as an (N, 64) uint8
     # array. Only a memoryview is copied, since it may be strided.
     if isinstance(x, (bytes, bytearray, memoryview)):
         x = np.frombuffer(x.tobytes() if isinstance(x, memoryview) else x, dtype=np.uint8)
-    return np.asarray(x, dtype=np.uint8).reshape(-1, 64)
+    x = np.asarray(x, dtype=np.uint8)
+    if x.size % 64:
+        raise ValueError(f"{name} must be whole 64-octet rows, got {x.size} octets")
+    return x.reshape(-1, 64)
 
 
 def _cells(rows: np.ndarray, width: int) -> np.ndarray:
@@ -162,8 +166,10 @@ def _operands(states, session_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # The (64, W) states, the right shifts (the key digits, (64, 1) for one
     # key and (64, W) for one per block), the left shifts 8 - r that
     # complete each rotation, and N. W is N, rounded up to a power of two
-    # up to _SMALL blocks.
-    blocks, keys = _rows(states), _rows(session_keys)
+    # up to _SMALL blocks. Every key's digits are checked in one C pass
+    # over their octets (12 keys: 0.5 µs, where max() takes 1.3 µs).
+    blocks, keys = _rows(states, "states"), _rows(session_keys, "session keys")
+    _check_digits(keys.tobytes())
     n = len(blocks)
     if len(keys) not in (1, n):
         raise ValueError(f"got {len(keys)} session keys for {n} blocks: "

@@ -150,6 +150,11 @@ def _check_key(key: bytes) -> bytes:
     k = bytes(key)
     if len(k) != KEY_DIGITS:
         raise ValueError(f"key must have exactly {KEY_DIGITS} digits, got {len(k)}")
-    if k.translate(None, _DIGIT_VALUES):
+    return _check_digits(k)
+
+
+def _check_digits(digits: bytes) -> bytes:
+    # The digits of any number of keys, once each is checked to lie in 0..7.
+    if digits.translate(None, _DIGIT_VALUES):
         raise ValueError("key digits must lie in 0..7")
-    return k
+    return digits

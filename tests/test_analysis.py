@@ -434,6 +434,16 @@ def test_bench_validation():
         bench_throughput(99)
 
 
+def test_bench_times_the_batch_path(monkeypatch):
+    # The bench times the path users run; the scalar cipher is only the
+    # specification, so the bench runs with it out of reach.
+    def scalar(*args):
+        raise AssertionError("the bench called the scalar cipher")
+    monkeypatch.setattr("rotoxor.cipher.encrypt_block", scalar)
+    monkeypatch.setattr(analysis, "encrypt_block", scalar)
+    assert bench_throughput(100).blocks_timed == 300
+
+
 def test_keyspace_report_contents():
     text = keyspace_report()
     assert "2^48" in text

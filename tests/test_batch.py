@@ -129,6 +129,35 @@ def test_key_count_must_be_one_or_one_per_block(n_states, n_keys):
             fn(states, keys)
 
 
+@pytest.mark.parametrize("digit", [8, 9])
+@pytest.mark.parametrize("fn", [batch.encrypt_blocks, batch.decrypt_blocks])
+def test_key_digits_outside_0_to_7_raise(fn, digit):
+    # As the scalar cipher does, rather than return garbage: under digit 9
+    # every octet would come out zero, and under digit 8 unchanged.
+    rng = random.Random(61)
+    states = blocks_to_array([rng.randbytes(64) for _ in range(3)])
+    one = bytearray(rng.choices(range(8), k=64))
+    one[17] = digit
+    per_block = _random_keys(rng, 3).copy()
+    per_block[2, 40] = digit
+    scalar = {batch.encrypt_blocks: encrypt_block, batch.decrypt_blocks: decrypt_block}[fn]
+    for keys in (bytes(one), np.frombuffer(bytes(one), dtype=np.uint8), per_block):
+        with pytest.raises(ValueError, match=r"key digits must lie in 0\.\.7"):
+            fn(states, keys)
+    with pytest.raises(ValueError, match=r"key digits must lie in 0\.\.7"):
+        scalar(states[0].tobytes(), bytes(one))
+
+
+@pytest.mark.parametrize("fn", [batch.encrypt_blocks, batch.decrypt_blocks])
+def test_states_and_keys_must_be_whole_rows(fn):
+    key = bytes(64)
+    with pytest.raises(ValueError, match="states must be whole 64-octet rows, got 63 octets"):
+        fn(bytes(63), key)
+    with pytest.raises(ValueError, match="session keys must be whole 64-octet rows, "
+                                         "got 63 octets"):
+        fn(bytes(64), key[:63])
+
+
 @pytest.mark.parametrize("fn", [batch.encrypt_blocks, batch.decrypt_blocks])
 def test_per_block_keys_peak_memory(fn):
     # The rounds need the working array, the key shifts and one mix gather:

@@ -24,6 +24,8 @@ TRACER_ONLY = {
     "cli.decrypt_block": "the attack's check is analysis.attack_report's, on batch",
     "codec.session_key_chain": "the codec takes the head's keys as one batch.session_keys "
                                "array",
+    "analysis.encrypt_block": "bench_throughput times batch.encrypt_blocks, and every report "
+                              "encrypts through batch",
 }
 
 

@@ -641,6 +641,24 @@ def test_bench_output(capsys):
     assert "18 us/block" in out
 
 
+def test_bench_prints_its_fields_in_order(capsys):
+    # Only the timing values change from run to run: every line, its name
+    # and its place stay, and the reference lines are fixed text.
+    assert run_cli(["bench", "--blocks", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.partition("=")[0] for line in lines] == [
+        "blocks_timed", "mean_ns", "stddev_ns", "min_ns", "max_ns", "zero_mean_ns",
+        "uniform_mean_ns", "random_mean_ns", "class_spread", "noise_threshold",
+        "data_independent", "data_independence", "reference_ns_per_block", "reference_note"]
+    assert lines[-2:] == [
+        "reference_ns_per_block=18000",
+        "reference_note=18 us/block is the original design's figure on a 4 GHz single core;"
+        " informational only, not a pass/fail bound"]
+    verdict = {"data_independent=True": "data_independence=PASS",
+               "data_independent=False": "data_independence=FAIL"}
+    assert verdict[lines[10]] == lines[11]
+
+
 def test_keyspace_output(capsys):
     assert run_cli(["keyspace"]) == 0
     out = capsys.readouterr().out

@@ -37,6 +37,8 @@ CROSS_MODULE_PRIVATE = {
                               "above batch._SMALL blocks, and the one-pass 17-cell table "
                               "at or below it is composed from it",
     "batch: keys._check_key": "session_keys checks the master as the chain generator does",
+    "batch: keys._check_digits": "the block functions check their keys' digits by the rule "
+                                 "every key check uses",
     "cipher: keys._check_key": "one key check serves the scalar reference and the key module",
     "analysis: keys._check_key": "the reports check the key before drawing any trial",
     "cli: codec._encrypt_buffer": _CODEC_FILE_PATH,

@@ -213,8 +213,6 @@ def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
     bits drawn until below n.
     """
     master = _check_key(master)
-    # others[p][i] is the i-th of the seven digits other than the master's at p.
-    others = [[d for d in range(8) if d != digit] for digit in master]
     master_row = np.frombuffer(master, np.uint8)
     rng = random.Random()
     reseed, getrandbits = _seeder(rng), rng.getrandbits
@@ -229,7 +227,8 @@ def avalanche_key(master: bytes, trials: int, seed: int) -> AvalancheReport:
             while (i := getrandbits(_OTHER_BITS)) >= _OTHER_DIGITS:
                 pass
             positions.append(position)
-            replacements.append(others[position][i])
+            # The i-th of the seven digits other than the master's, ascending.
+            replacements.append(i + (i >= master[position]))
         base = np.frombuffer(states, np.uint8).reshape(-1, 64)
         mutated = np.tile(master_row, (len(base), 1))
         mutated[np.arange(len(base)), positions] = replacements
@@ -392,16 +391,13 @@ def bench_throughput(block_count: int) -> TimingReport:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        done = 0
-        while done < block_count:
-            take = min(chunk, block_count - done)
+        for done in range(0, block_count, chunk):
             for name, blocks in classes.items():
                 out = samples[name]
-                for block in blocks[done:done + take]:
+                for block in blocks[done:done + chunk]:
                     t0 = time.perf_counter_ns()
                     encrypt(block, _BENCH_KEY)
                     out.append(time.perf_counter_ns() - t0)
-            done += take
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -493,10 +489,8 @@ def _avalanche_report(histogram: np.ndarray, seed: int, mode: str) -> AvalancheR
 def _sqrt_of_fraction(n: int, m: int) -> float:
     # sqrt(n / m) correctly rounded, as statistics takes it from 3.11: an
     # integer root at 2 * 53 + 3 bits, rounded to odd, then one rounding.
+    # n < m (a variance of ratios in [0, 1] is at most 1/4), so q < 0.
     q = (n.bit_length() - m.bit_length() - 109) // 2
-    if q >= 0:
-        m <<= 2 * q
-    else:
-        n <<= -2 * q
+    n <<= -2 * q
     root = math.isqrt(n // m)
     return math.ldexp(root | (root * root * m != n), q)

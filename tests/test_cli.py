@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import random
@@ -53,6 +54,14 @@ def test_keygen_unseeded_uses_entropy(tmp_path):
     run_cli(["keygen", "--out", str(tmp_path / "x.txt")])
     run_cli(["keygen", "--out", str(tmp_path / "y.txt")])
     assert (tmp_path / "x.txt").read_bytes() != (tmp_path / "y.txt").read_bytes()
+
+
+def test_keygen_warns_of_a_weak_key_and_still_writes_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(keys, "is_weak_key", lambda key: True)
+    path = tmp_path / "key.txt"
+    assert run_cli(["keygen", "--seed", "1", "--out", str(path)]) == 0
+    assert "generated key is weak" in capsys.readouterr().err
+    assert len(keys.read_key_file(path)) == keys.KEY_DIGITS
 
 
 # --- encrypt / decrypt -------------------------------------------------------
@@ -235,6 +244,45 @@ def test_failed_write_names_the_out_path(tmp_path, capsys):
     assert f"'{out}'" in err
     assert f"{out}." not in err
     assert not out.parent.exists()
+
+
+def test_out_symlink_is_written_through(tmp_path):
+    # A symlink is not renamed over: its target receives the ciphertext.
+    key = write_key(tmp_path)
+    src, target, link = tmp_path / "m", tmp_path / "target", tmp_path / "link"
+    src.write_bytes(b"through the link")
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert run_cli(["encrypt", "--key", str(key), "--in", str(src), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert run_cli(["decrypt", "--key", str(key), "--in", str(target),
+                    "--out", str(tmp_path / "back")]) == 0
+    assert (tmp_path / "back").read_bytes() == b"through the link"
+
+
+def test_out_devnull_is_written_in_place(tmp_path):
+    key = write_key(tmp_path)
+    src = tmp_path / "m"
+    src.write_bytes(b"discarded")
+    assert run_cli(["encrypt", "--key", str(key), "--in", str(src),
+                    "--out", os.devnull]) == 0
+
+
+def test_failed_rename_keeps_out_and_removes_the_temporary_file(tmp_path, capsys, monkeypatch):
+    key = write_key(tmp_path)
+    src, out = tmp_path / "m", tmp_path / "ct"
+    src.write_bytes(b"never lands")
+    out.write_bytes(b"previous ciphertext")
+
+    def full_disk(source, destination):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert run_cli(["encrypt", "--key", str(key), "--in", str(src), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"'{out}'" in err and f"{out}." not in err
+    assert out.read_bytes() == b"previous ciphertext"
+    assert list(tmp_path.glob("ct.*")) == []
 
 
 def test_usage_errors_exit_1(capsys):

@@ -157,8 +157,9 @@ def test_reseeded_generator_draws_as_a_fresh_one(seed):
         assert _restated_draws(restated) == draws[0]
 
 
-# 3001 distances, spread as a report's are, and three edge cases: one bin,
-# the extremes 0 and 512 alone, and both extremes in one report.
+# 3001 distances, spread as a report's are, and four edge cases: one bin,
+# the extremes 0 and 512 alone, both extremes in one report, and half at
+# each extreme, whose ratio variance 1/4 is the largest the root can see.
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 512), min_size=1, max_size=3001), st.integers(), st.text())
 @example([int(random.Random(i).gauss(256, 11)) for i in range(3001)], 77, "key-sample")
@@ -166,6 +167,7 @@ def test_reseeded_generator_draws_as_a_fresh_one(seed):
 @example([0], 0, "")
 @example([512] * 2, 0, "")
 @example([0] * 3000 + [512], 0, "")
+@example([0] * 1500 + [512] * 1500, 0, "")
 def test_histogram_report_equals_list_statistics(distances, seed, mode):
     histogram = np.bincount(distances, minlength=513)
     reference = avalanche_report_reference(distances, seed, mode)

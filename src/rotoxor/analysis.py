@@ -4,7 +4,9 @@ Covers the avalanche effect for plaintext and key changes, repeated-block
 distinctness under the session-key chain, data-independent timing, and a
 chosen-plaintext attack that recovers the fixed-key cipher as a 512x512
 GF(2) matrix, decrypts without the key, and checks those decryptions against
-the key's own.
+the key's own. ``analyze`` is every ``rotoxor analyze`` report: it picks the
+trial count, key and content the command's options leave out, and returns
+the report's lines with its verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import batch, gf2
 # Unused here; perfbench/spans.py traces this name by lookup, so it stays.
 from .cipher import encrypt_block  # noqa: F401
 from .errors import SingularMapError
-from .keys import _check_key
+from .keys import _check_key, random_key
 
 STATE_BITS = 512
 # Every report, the attack's check included, runs its trials this many at a
@@ -332,6 +334,44 @@ def repeated_block_report(
     return RepeatedBlockReport(block_count, collisions, not collisions)
 
 
+# Per-target trial defaults: attack counts verification blocks and
+# repeated-block counts block positions, so their natural scales differ.
+_TRIAL_DEFAULTS = {"attack": 100, "repeated-block": 8}
+
+
+def analyze(target: str, key: bytes | None, trials: int | None,
+            seed: int) -> tuple[list[str], bool]:
+    """Run the report that ``rotoxor analyze <target>`` prints.
+
+    Returns its stdout lines and whether it passed, which is False only for
+    a linearity counterexample or attack mismatches. ``trials`` None takes
+    the target's default: 100 for attack, 8 block positions for
+    repeated-block, 1000 otherwise. ``key`` None takes
+    keys.random_key(Random(seed)), and repeated-block repeats
+    Random(seed).randbytes(64). The reports are looked up when it runs.
+    Raises ValueError for an unknown target.
+    """
+    trials = _TRIAL_DEFAULTS.get(target, 1000) if trials is None else trials
+    key = random_key(random.Random(seed)) if key is None else key
+    if target == "linearity":
+        ok, pair = linearity_check(key, trials, seed)
+        counterexample = "none" if ok else ",".join(block.hex() for block in pair)
+        return [f"trials={trials}", f"seed={seed}", f"counterexample={counterexample}",
+                f"result={'PASS' if ok else 'FAIL'}"], ok
+    if target == "attack":
+        report = attack_report(key, trials, seed)
+        return report.as_lines(), not report.mismatches
+    if target == "avalanche-plaintext":
+        report = avalanche_plaintext(key, trials, seed)
+    elif target == "avalanche-key":
+        report = avalanche_key(key, trials, seed)
+    elif target == "repeated-block":
+        report = repeated_block_report(key, random.Random(seed).randbytes(64), trials)
+    else:
+        raise ValueError(f"unknown analyze target {target!r}")
+    return report.as_lines(), True
+
+
 @dataclass
 class TimingReport:
     """Per-block wall-clock timing, split by plaintext content class."""
@@ -358,7 +398,7 @@ class TimingReport:
         ]
 
 
-_BENCH_KEY = bytes(random.Random(0).choices(range(8), k=64))
+_BENCH_KEY = random_key(random.Random(0))
 # The largest relative spread of the per-class means still called noise.
 _NOISE_THRESHOLD = 0.20
 

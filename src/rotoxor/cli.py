@@ -1,10 +1,16 @@
 """Command-line front end: key generation, file encryption, analysis reports.
 
 Exit codes: 0 success, 1 usage, 2 bad key, 3 bad ciphertext data or padding
-(wrong key), 4 I/O failure, 5 analysis verification failure. ``analyze`` and
-``bench`` import ``analysis`` when they run, and ``encrypt`` and ``decrypt``
-reach numpy through the codec's rounds, so ``keygen``, ``keyspace``,
-``--help`` and every usage, key or data error start without numpy.
+(wrong key), 4 I/O failure, 5 analysis verification failure. Every
+``analyze`` report, with its defaults and its verdict, is
+``analysis.analyze``'s; this module prints its lines and exits 5 when it
+fails. ``analyze`` and ``bench`` import ``analysis`` when they run,
+``analyze`` after reading its key file, and ``encrypt`` and ``decrypt``
+reach numpy through the codec's rounds. So ``keygen``, ``keyspace``,
+``--help`` and every usage, key or data error start without numpy, but for
+three that only numpy code finds: ``analyze --trials`` below 1 and
+``bench --blocks`` below 100, which ``analysis`` checks, and a wrong key's
+padding error, which only the rounds can show.
 """
 
 from __future__ import annotations
@@ -42,11 +48,6 @@ ANALYZE_TARGETS = (
     "attack",
     "repeated-block",
 )
-
-# Per-target --trials defaults: attack counts verification blocks and
-# repeated-block counts block positions, so their natural scales differ.
-_TRIAL_DEFAULTS = {"attack": 100, "repeated-block": 8}
-_TRIAL_FALLBACK = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,7 +133,7 @@ def _add_file_parser(sub, name, func, source, target) -> _Parser:
 
 def _run_keygen(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    key = bytes(rng.choices(range(8), k=keys.KEY_DIGITS))
+    key = keys.random_key(rng)
     if keys.is_weak_key(key):
         _warn("generated key is weak (every block is sent unchanged)")
     _write_bytes(args.out, keys.format_key(key).encode("ascii") + b"\n")
@@ -164,37 +165,17 @@ def _run_decrypt(args) -> int:
 
 
 def _run_analyze(args) -> int:
+    # The key file is read first, so its errors start no numpy.
+    key = None if args.key is None else keys.read_key_file(args.key)
     from . import analysis
-    trials = args.trials
-    if trials is None:
-        trials = _TRIAL_DEFAULTS.get(args.target, _TRIAL_FALLBACK)
-    key = keys.read_key_file(args.key) if args.key is not None \
-        else bytes(random.Random(args.seed).choices(range(8), k=keys.KEY_DIGITS))
-
-    if args.target == "avalanche-plaintext":
-        _print_lines(analysis.avalanche_plaintext(key, trials, args.seed).as_lines())
-        return EXIT_OK
-    if args.target == "avalanche-key":
-        _print_lines(analysis.avalanche_key(key, trials, args.seed).as_lines())
-        return EXIT_OK
-    if args.target == "linearity":
-        ok, pair = analysis.linearity_check(key, trials, args.seed)
-        counterexample = "none" if ok else ",".join(block.hex() for block in pair)
-        _print_lines([f"trials={trials}", f"seed={args.seed}",
-                      f"counterexample={counterexample}", f"result={'PASS' if ok else 'FAIL'}"])
-        return EXIT_OK if ok else EXIT_VERIFY
-    if args.target == "repeated-block":
-        content = random.Random(args.seed).randbytes(64)
-        _print_lines(analysis.repeated_block_report(key, content, trials).as_lines())
-        return EXIT_OK
-    report = analysis.attack_report(key, trials, args.seed)
-    _print_lines(report.as_lines())
-    return EXIT_VERIFY if report.mismatches else EXIT_OK
+    lines, passed = analysis.analyze(args.target, key, args.trials, args.seed)
+    print("\n".join(lines))
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def _run_bench(args) -> int:
     from . import analysis
-    _print_lines(analysis.bench_throughput(args.blocks).as_lines())
+    print("\n".join(analysis.bench_throughput(args.blocks).as_lines()))
     return EXIT_OK
 
 
@@ -245,11 +226,6 @@ def _stdout_is_tty() -> bool:
         return sys.stdout.isatty()
     except (AttributeError, ValueError):
         return False
-
-
-def _print_lines(lines) -> None:
-    for line in lines:
-        print(line)
 
 
 def _warn(message: str) -> None:

@@ -7,7 +7,8 @@ previous one. The chain's one implementation is ``batch.session_keys``, its
 closed form on numpy arrays; ``session_key_chain`` yields its rows as
 ``bytes`` in block order, and imports it only when block 2 is asked for, so
 this module loads without numpy. Each of the 8 rounds inside a block uses a
-sub-key obtained by rotating the session key's columns.
+sub-key obtained by rotating the session key's columns. ``random_key`` is
+the one way the package draws a key.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def read_key_file(path) -> bytes:
     if text.endswith("\r"):
         text = text[:-1]
     return parse_master_key(text)
+
+
+def random_key(rng) -> bytes:
+    """Draw a key as ``rng.choices`` of 64 digits 0..7: every generated key's one draw.
+
+    ``rotoxor keygen``, the key ``analyze`` derives from its seed and the
+    ``bench`` key all come from here, so the same generator state gives the
+    same key everywhere. Any ``random.Random`` works, ``SystemRandom`` too.
+    """
+    return bytes(rng.choices(range(DIGIT_BASE), k=KEY_DIGITS))
 
 
 def derive_round_key(session_key: bytes, m: int) -> bytes:

@@ -676,6 +676,56 @@ def test_analyze_avalanche_lines(capsys):
         assert field in out
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["defaults", "key-trials-seed"])
+@pytest.mark.parametrize("target", cli.ANALYZE_TARGETS)
+def test_analyze_call_returns_what_the_cli_prints(tmp_path, capsys, target, given):
+    argv, call = [], (None, None, 0)
+    if given:
+        key = write_key(tmp_path, seed=21)
+        argv = ["--key", str(key), "--trials", "37", "--seed", "9"]
+        call = (keys.read_key_file(key), 37, 9)
+    lines, passed = analysis.analyze(target, *call)
+    assert passed
+    assert run_cli(["analyze", target, *argv]) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+
+def test_analyze_call_derives_its_inputs_from_the_seed(monkeypatch):
+    # The reports are looked up when analyze runs, so these recorders see
+    # each default: the trial count, the key and repeated-block's content.
+    calls = []
+    for name in ("avalanche_plaintext", "avalanche_key", "linearity_check", "attack_report",
+                 "repeated_block_report"):
+        report = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, name=name, report=report:
+                            calls.append((name, args)) or report(*args))
+    for target in cli.ANALYZE_TARGETS:
+        analysis.analyze(target, None, None, 12)
+    key = bytes(random.Random(12).choices(range(8), k=64))
+    assert calls == [
+        ("avalanche_plaintext", (key, 1000, 12)),
+        ("avalanche_key", (key, 1000, 12)),
+        ("linearity_check", (key, 1000, 12)),
+        ("attack_report", (key, 100, 12)),
+        ("repeated_block_report", (key, random.Random(12).randbytes(64), 8)),
+    ]
+    with pytest.raises(ValueError, match="unknown analyze target 'nonsense'"):
+        analysis.analyze("nonsense", None, None, 12)
+
+
+@pytest.mark.parametrize("target, name, broken", [
+    ("linearity", "linearity_check", lambda key, trials, seed: (False, (bytes(64), bytes(64)))),
+    ("attack", "kpa_decrypt", lambda linear_map, ciphertext: bytes(len(ciphertext))),
+], ids=["linearity", "attack"])
+def test_analyze_call_fails_a_counterexample_or_a_mismatch(capsys, monkeypatch, target, name,
+                                                           broken):
+    monkeypatch.setattr(analysis, name, broken)
+    lines, passed = analysis.analyze(target, None, 5, 1)
+    assert not passed
+    assert run_cli(["analyze", target, "--trials", "5", "--seed", "1"]) == 5
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 # --- bench / keyspace --------------------------------------------------------
 
 def test_bench_output(capsys):

@@ -101,6 +101,14 @@ def test_read_key_file_of_64_mib_fails_on_its_first_67_octets(tmp_path):
     assert err.value.length == 65
 
 
+@pytest.mark.parametrize("seed", [0, 1, 11, 77, -3, 2 ** 64 + 5])
+def test_random_key_is_64_choices_of_the_eight_digits(seed):
+    # keygen's files, analyze's seed-derived keys and the bench key keep
+    # their bytes only while random_key draws exactly as this expression.
+    ours, old = random.Random(seed), random.Random(seed)
+    assert [keys.random_key(ours) for _ in range(3)] == [random_key(old) for _ in range(3)]
+
+
 def test_round_key_shift_zero_is_identity():
     rng = random.Random(20)
     k = random_key(rng)

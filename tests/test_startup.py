@@ -3,7 +3,7 @@
 Each check runs a fresh interpreter in which ``sys.modules["numpy"]`` is
 None before rotoxor is imported, so any import of numpy raises. numpy may
 load only in the commands that compute on arrays: encrypt, decrypt,
-analyze and bench.
+analyze and bench, and not before they have read their key.
 """
 
 import subprocess
@@ -71,6 +71,18 @@ def test_key_and_data_errors_run_without_numpy(tmp_path, direction, key_text, da
     assert (run.returncode, run.stdout) == (code, "")
     assert run.stderr.startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key_text, code, message", [
+    ("01234", cli.EXIT_KEY, "key error: key text must be exactly 64 characters, got 5\n"),
+    (None, cli.EXIT_IO, "io error: [Errno 2] No such file or directory: 'k'\n"),
+], ids=["short-key", "missing-key"])
+def test_analyze_key_errors_run_without_numpy(tmp_path, key_text, code, message):
+    # analyze reads --key before it imports analysis, and so numpy.
+    if key_text is not None:
+        (tmp_path / "k").write_text(key_text + "\n")
+    run = _cli_numpy_blocked(["analyze", "attack", "--key", "k"], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (code, "", message)
 
 
 def test_encrypting_a_file_needs_numpy_so_the_blocker_works(tmp_path):
